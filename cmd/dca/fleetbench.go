@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -22,35 +20,16 @@ import (
 	"dca/internal/workloads/npb"
 )
 
-// fleetBlock is the "fleet" record merged into BENCH_analysis.json.
-type fleetBlock struct {
-	Nodes           int     `json:"nodes"`
-	Loops           int     `json:"loops"`
-	ColdSeconds     float64 `json:"cold_seconds"`
-	WarmSeconds     float64 `json:"warm_seconds"`
-	FailoverSeconds float64 `json:"failover_seconds"`
-	WarmReplays     int     `json:"warm_replays"`
-	PeerHits        uint64  `json:"peer_hits"`
-	PeerMisses      uint64  `json:"peer_misses"`
-	PeerErrors      uint64  `json:"peer_errors"`
-	PeerHitRate     float64 `json:"peer_hit_rate"`
-	Redispatches    uint64  `json:"redispatches"`
-	Identical       bool    `json:"identical"`
-	GoVersion       string  `json:"go_version"`
-}
-
 // cmdFleetBench measures the sharded fleet on the NPB-inspired suite: it
 // boots N in-process workers on loopback listeners with the peer cache
 // enabled, runs the suite through a coordinator cold and warm, kills one
 // worker and runs a failover pass, and asserts every pass renders the
-// same verdict table a single node does. The numbers land in the "fleet"
-// block of BENCH_analysis.json.
+// same verdict table a single node does. The numbers go to stdout.
 func cmdFleetBench(args []string) error {
 	fs := flag.NewFlagSet("fleet-bench", flag.ExitOnError)
 	nodes := fs.Int("nodes", 3, "fleet size")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "engine workers per node")
-	benchOut := fs.String("bench-out", "BENCH_analysis.json", "merge the \"fleet\" block into this JSON file (empty = skip)")
-	chaosMode := fs.Bool("chaos", false, "run the network-chaos leg instead: seeded fault injection, kill/restart recovery, and an all-workers-dead fallback pass (merges the \"fleet_chaos\" block)")
+	chaosMode := fs.Bool("chaos", false, "run the network-chaos leg instead: seeded fault injection, kill/restart recovery, and an all-workers-dead fallback pass")
 	chaosSeed := fs.Int64("chaos-seed", 1, "chaos leg: fault-injection seed")
 	chaosProb := fs.Float64("chaos-prob", 0.2, "chaos leg: per-request fault probability")
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +56,7 @@ func cmdFleetBench(args []string) error {
 	single.stop()
 
 	if *chaosMode {
-		return chaosBench(ctx, refTable, *nodes, *jobs, *chaosSeed, *chaosProb, *benchOut)
+		return chaosBench(ctx, refTable, *nodes, *jobs, *chaosSeed, *chaosProb)
 	}
 
 	fl, err := newBenchFleet(ctx, *nodes, *jobs)
@@ -121,57 +100,15 @@ func cmdFleetBench(args []string) error {
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	block := fleetBlock{
-		Nodes:           *nodes,
-		Loops:           coldLoops,
-		ColdSeconds:     coldDur.Seconds(),
-		WarmSeconds:     warmDur.Seconds(),
-		FailoverSeconds: failDur.Seconds(),
-		WarmReplays:     warmReplays,
-		PeerHits:        hits,
-		PeerMisses:      misses,
-		PeerErrors:      errs,
-		PeerHitRate:     hitRate,
-		Redispatches:    fl.cm.Redispatches.Value(),
-		Identical:       identical,
-		GoVersion:       runtime.Version(),
-	}
-	fmt.Printf("fleet-bench: %d nodes, %d loops\n", block.Nodes, block.Loops)
-	fmt.Printf("  cold %.2fs  warm %.2fs  failover %.2fs\n", block.ColdSeconds, block.WarmSeconds, block.FailoverSeconds)
+	fmt.Printf("fleet-bench: %d nodes, %d loops, %s\n", *nodes, coldLoops, runtime.Version())
+	fmt.Printf("  cold %.2fs  warm %.2fs  failover %.2fs\n", coldDur.Seconds(), warmDur.Seconds(), failDur.Seconds())
 	fmt.Printf("  warm replays %d  peer hits %d / misses %d / errors %d (hit rate %.2f)\n",
-		block.WarmReplays, block.PeerHits, block.PeerMisses, block.PeerErrors, block.PeerHitRate)
-	fmt.Printf("  re-dispatches %d  tables identical to single node: %v\n", block.Redispatches, block.Identical)
-	if *benchOut != "" {
-		if err := mergeBenchBlock(*benchOut, "fleet", block); err != nil {
-			return fmt.Errorf("fleet-bench: %w", err)
-		}
-	}
+		warmReplays, hits, misses, errs, hitRate)
+	fmt.Printf("  re-dispatches %d  tables identical to single node: %v\n", fl.cm.Redispatches.Value(), identical)
 	if !identical {
 		return fmt.Errorf("fleet-bench: fleet verdict tables diverged from the single-node reference")
 	}
 	return nil
-}
-
-// fleetChaosBlock is the "fleet_chaos" record merged into
-// BENCH_analysis.json by `fleet-bench -chaos`.
-type fleetChaosBlock struct {
-	Nodes           int     `json:"nodes"`
-	Loops           int     `json:"loops"`
-	Seed            int64   `json:"seed"`
-	FaultProb       float64 `json:"fault_prob"`
-	FaultsInjected  int64   `json:"faults_injected"`
-	ChaosSeconds    float64 `json:"chaos_seconds"`
-	RecoverySeconds float64 `json:"recovery_seconds"`
-	BlackoutSeconds float64 `json:"blackout_seconds"`
-	NodeRetries     uint64  `json:"node_retries"`
-	Hedges          uint64  `json:"hedges"`
-	HedgeWins       uint64  `json:"hedge_wins"`
-	Redispatches    uint64  `json:"redispatches"`
-	Rejoins         uint64  `json:"rejoins"`
-	FallbackRuns    uint64  `json:"fallback_runs"`
-	FallbackLoops   uint64  `json:"fallback_loops"`
-	Identical       bool    `json:"identical"`
-	GoVersion       string  `json:"go_version"`
 }
 
 // chaosBench is the `fleet-bench -chaos` leg: the suite runs through a
@@ -179,7 +116,7 @@ type fleetChaosBlock struct {
 // then through a kill-then-restart recovery (timing the prober's
 // re-admission), then with every worker dead (the local fallback). Every
 // pass must render the single-node reference table byte-for-byte.
-func chaosBench(ctx context.Context, refTable string, nodes, jobs int, seed int64, prob float64, benchOut string) error {
+func chaosBench(ctx context.Context, refTable string, nodes, jobs int, seed int64, prob float64) error {
 	fl, err := newBenchFleet(ctx, nodes, jobs)
 	if err != nil {
 		return fmt.Errorf("fleet-bench: %w", err)
@@ -253,38 +190,14 @@ func chaosBench(ctx context.Context, refTable string, nodes, jobs int, seed int6
 
 	identical := chaosTable == refTable && killTable == refTable &&
 		rejoinTable == refTable && blackTable == refTable
-	block := fleetChaosBlock{
-		Nodes:           nodes,
-		Loops:           chaosLoops,
-		Seed:            seed,
-		FaultProb:       prob,
-		FaultsInjected:  nc.Faults(),
-		ChaosSeconds:    chaosDur.Seconds(),
-		RecoverySeconds: recovery.Seconds(),
-		BlackoutSeconds: blackDur.Seconds(),
-		NodeRetries:     cm.NodeRetries.Value(),
-		Hedges:          cm.Hedges.Value(),
-		HedgeWins:       cm.HedgeWins.Value(),
-		Redispatches:    cm.Redispatches.Value(),
-		Rejoins:         cm.Rejoins.Value(),
-		FallbackRuns:    cm.FallbackRuns.Value(),
-		FallbackLoops:   cm.FallbackLoops.Value(),
-		Identical:       identical,
-		GoVersion:       runtime.Version(),
-	}
-	fmt.Printf("fleet-bench -chaos: %d nodes, %d loops, seed %d, fault prob %.2f\n",
-		block.Nodes, block.Loops, block.Seed, block.FaultProb)
+	fmt.Printf("fleet-bench -chaos: %d nodes, %d loops, seed %d, fault prob %.2f, %s\n",
+		nodes, chaosLoops, seed, prob, runtime.Version())
 	fmt.Printf("  chaos %.2fs (%d faults injected)  recovery %.3fs  blackout %.2fs\n",
-		block.ChaosSeconds, block.FaultsInjected, block.RecoverySeconds, block.BlackoutSeconds)
+		chaosDur.Seconds(), nc.Faults(), recovery.Seconds(), blackDur.Seconds())
 	fmt.Printf("  retries %d  hedges %d (wins %d)  re-dispatches %d  rejoins %d\n",
-		block.NodeRetries, block.Hedges, block.HedgeWins, block.Redispatches, block.Rejoins)
+		cm.NodeRetries.Value(), cm.Hedges.Value(), cm.HedgeWins.Value(), cm.Redispatches.Value(), cm.Rejoins.Value())
 	fmt.Printf("  fallback runs %d covering %d loops  tables identical to single node: %v\n",
-		block.FallbackRuns, block.FallbackLoops, block.Identical)
-	if benchOut != "" {
-		if err := mergeBenchBlock(benchOut, "fleet_chaos", block); err != nil {
-			return fmt.Errorf("fleet-bench: %w", err)
-		}
-	}
+		cm.FallbackRuns.Value(), cm.FallbackLoops.Value(), identical)
 	if !identical {
 		return fmt.Errorf("fleet-bench: chaos verdict tables diverged from the single-node reference")
 	}
@@ -418,27 +331,4 @@ func (f *benchFleet) runSuite(ctx context.Context) (table string, dur time.Durat
 		f.lastReplays += rep.Replays
 	}
 	return b.String(), time.Since(start), loops, nil
-}
-
-// mergeBenchBlock read-modify-writes one top-level block of the bench
-// JSON file, leaving every other section untouched.
-func mergeBenchBlock(path, key string, block any) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	enc, err := json.Marshal(block)
-	if err != nil {
-		return err
-	}
-	doc[key] = enc
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

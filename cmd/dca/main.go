@@ -151,7 +151,7 @@ commands:
                                                  (metrics at GET /metrics;
                                                  -fleet = coordinator mode,
                                                  -peers = peer verdict cache)
-  fleet-bench [-nodes n] [-j n] [-bench-out f.json]
+  fleet-bench [-nodes n] [-j n] [-chaos]
                                                  benchmark an in-process fleet
                                                  against a single node
   run [-opt] [-timeout d] [-max-steps n] [-no-vm] file.mc

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,35 +24,14 @@ import (
 	"dca/internal/obs"
 )
 
-// Knobs are the per-request analysis options the coordinator forwards
-// verbatim to every worker, so a sharded analysis runs under exactly the
-// configuration a single node would have used.
-type Knobs struct {
-	Schedules   int
-	MaxSteps    int64
-	TimeoutMS   int64
-	NoCache     bool
-	StopAfter   int
-	NoFootprint bool
-	NoProve     bool
-	NoVM        bool
-}
-
-// workerRequest is the worker-side /analyze body. JSON tags mirror the
-// server's AnalyzeRequest; the type is redeclared here so fleet never
-// imports internal/server (the server imports fleet).
+// workerRequest is the worker-side /analyze body: the server's
+// AnalyzeRequest schema, redeclared here so fleet never imports
+// internal/server (the server imports fleet).
 type workerRequest struct {
-	Filename    string    `json:"filename,omitempty"`
-	Source      string    `json:"source"`
-	Schedules   int       `json:"schedules,omitempty"`
-	MaxSteps    int64     `json:"max_steps,omitempty"`
-	TimeoutMS   int64     `json:"timeout_ms,omitempty"`
-	NoCache     bool      `json:"no_cache,omitempty"`
-	StopAfter   int       `json:"stop_after,omitempty"`
-	NoFootprint bool      `json:"no_footprint,omitempty"`
-	NoProve     bool      `json:"no_prove,omitempty"`
-	NoVM        bool      `json:"no_vm,omitempty"`
-	Loops       []LoopRef `json:"loops,omitempty"`
+	Filename string `json:"filename,omitempty"`
+	Source   string `json:"source"`
+	Knobs
+	Loops []LoopRef `json:"loops,omitempty"`
 }
 
 type workerResponse struct {
@@ -92,7 +72,8 @@ type CoordinatorConfig struct {
 	// Policy.DispatchTimeout, and batches are otherwise bounded by the
 	// request context (suites can run for minutes).
 	Client *http.Client
-	// Metrics, when non-nil, receives dispatch and re-dispatch counts.
+	// Metrics receives dispatch and re-dispatch counts; nil counts into a
+	// private registry (SetMetrics can attach shared ones later).
 	Metrics *Metrics
 	// Trace, when non-nil, receives one StageFleet event per batch
 	// dispatch outcome, retry, hedge, rejoin, and fallback.
@@ -117,10 +98,15 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if jitter == nil {
 		jitter = rand.Int63n
 	}
+	ring := NewRing(cfg.Nodes)
+	m := cfg.Metrics
+	if m == nil {
+		m = NewMetrics(obs.NewRegistry(), ring)
+	}
 	c := &Coordinator{
-		ring:   NewRing(cfg.Nodes),
+		ring:   ring,
 		client: client,
-		m:      cfg.Metrics,
+		m:      m,
 		trace:  cfg.Trace,
 		policy: policy,
 		jitter: jitter,
@@ -181,13 +167,9 @@ func (c *Coordinator) probeDue(ctx context.Context) {
 		go func(node string) {
 			defer wg.Done()
 			err := c.probeNode(ctx, node)
-			if c.m != nil {
-				c.m.Probes.Inc()
-			}
+			c.m.Probes.Inc()
 			if err != nil {
-				if c.m != nil {
-					c.m.ProbeFailures.Inc()
-				}
+				c.m.ProbeFailures.Inc()
 				c.members.probeFailed(node)
 				return
 			}
@@ -203,11 +185,15 @@ func (c *Coordinator) admit(node string) {
 	if !c.members.MarkLive(node) {
 		return
 	}
-	if c.m != nil {
-		c.m.Rejoins.Inc()
-	}
+	c.m.Rejoins.Inc()
+	c.emit(obs.Event{Outcome: obs.OutcomeRejoin, Reason: node})
+}
+
+// emit traces one StageFleet event.
+func (c *Coordinator) emit(ev obs.Event) {
 	if c.trace != nil {
-		c.trace.Emit(obs.Event{Stage: obs.StageFleet, Outcome: obs.OutcomeRejoin, Reason: node})
+		ev.Stage = obs.StageFleet
+		c.trace.Emit(ev)
 	}
 }
 
@@ -287,380 +273,393 @@ type ProgramError struct {
 
 func (e *ProgramError) Error() string { return e.Msg }
 
-// batchResult is one batch's outcome, drained by the merge loop. A batch
-// may have touched several nodes (same-node retries stay inside one
-// attempt; hedging adds a second): failed lists every node that exhausted
-// its attempts, node names the one that produced rep.
-type batchResult struct {
-	refs   []LoopRef
-	node   string
-	rep    *core.ReportJSON
-	failed []string
-	err    error
-}
-
-// Analyze shards prog's loops across the fleet, dispatches per-worker
-// batches concurrently, and merges the verdicts into one report whose
-// loop order, summary, and totals are byte-identical (modulo timing) to a
-// single node analyzing the whole program.
+// Analyze shards prog's loops across the fleet and merges the verdicts
+// into one report whose loop order, summary, and totals are byte-identical
+// (modulo timing) to a single node analyzing the whole program.
 //
-// Failure handling is policy-driven. Each batch attempt is bounded by the
-// dispatch timeout; transient failures retry the same node (honoring a
-// shedding worker's Retry-After) before the node leaves rotation and the
-// batch re-routes to its ring successor in the next round, after a
-// decorrelated-jitter backoff. A straggling batch is hedged to the
-// successor after HedgeAfter; the first result wins. When every node is
-// out of rotation the remaining loops are analyzed in-process through the
-// LocalAnalyzer. All of it is safe by verdict determinism: semantics are
-// at-least-once, verdicts are fingerprint-keyed deterministic functions,
-// and the first result wins on merge. onLoop, when non-nil, receives
-// every merged loop verdict exactly once, as it lands.
+// A verdict is a deterministic function of the loop, its schedules and its
+// budgets, so a batch can be re-issued anywhere and the first result kept.
+// The run is one loop over a deadline-ordered queue of attempts, each
+// naming pending loops, a target node and an earliest start, and settle
+// alone decides what follows an attempt: a same-node retry after the
+// decorrelated backoff (or a shedding worker's capped Retry-After), the
+// ring successors once the node's retries are spent, a hedge to the
+// successor after HedgeAfter, the LocalAnalyzer when no node is live, or
+// an abort on a program error. Each loop has a worker-attempt budget, so a
+// worker that answers 200 while omitting loops, or a node that flaps
+// between failed dispatches and passing probes, cannot spin the run.
+// onLoop, when non-nil, receives every merged loop verdict exactly once,
+// as it lands.
 func (c *Coordinator) Analyze(ctx context.Context, prog *ir.Program, filename, source string, knobs Knobs, onLoop func(core.LoopJSON)) (*core.ReportJSON, error) {
 	start := time.Now()
 	refs := EnumerateLoops(prog)
-	router := fingerprint.NewRouter(prog)
-	route := make(map[LoopRef]string, len(refs))
-	for _, ref := range refs {
-		route[ref] = router.Route(ref.Fn, ref.Index).String()
+	ctx, cancel := context.WithCancel(ctx)
+	r := &run{
+		c: c, ctx: ctx, prog: prog, filename: filename, source: source, knobs: knobs, onLoop: onLoop,
+		router:   fingerprint.NewRouter(prog),
+		results:  make(map[LoopRef]core.LoopJSON, len(refs)),
+		attempts: make(map[LoopRef]int, len(refs)),
+		local:    make(map[LoopRef]bool),
+		running:  make(map[*attempt]bool),
+		out:      make(chan outcome),
 	}
-
-	results := make(map[LoopRef]core.LoopJSON, len(refs))
-	pending := refs
-	stalled := 0 // consecutive rounds with no merge progress and no membership change
-	barren := 0  // consecutive rounds with no merge progress at all
-	backoff := time.Duration(0)
-	round := 0
-
-	for len(results) < len(refs) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("fleet: analysis cancelled: %w", context.Cause(ctx))
-		}
-		if round > 0 {
-			// Decorrelated-jitter backoff between re-dispatch rounds: retrying
-			// coordinators spread apart instead of re-arriving in waves.
-			backoff = c.policy.backoffStep(c.jitter, backoff)
-			if !sleepCtx(ctx, backoff) {
-				return nil, fmt.Errorf("fleet: analysis cancelled: %w", context.Cause(ctx))
-			}
-		}
-		round++
-		if !c.proberOn.Load() {
-			// No background prober (bare coordinator): probe due nodes inline
-			// so a recovered worker still rejoins across and within runs.
-			c.probeDue(ctx)
-		}
-
-		// Route the still-pending loops onto the in-rotation ring.
-		excluded := c.members.Excluded()
-		batches := make(map[string][]LoopRef)
-		degraded := false
-		for _, ref := range pending {
-			owner := c.ring.Owner(route[ref], excluded)
-			if owner == "" {
-				degraded = true
-				break
-			}
-			batches[owner] = append(batches[owner], ref)
-		}
-
-		if degraded {
-			// Every worker is out of rotation: the fleet was an accelerator,
-			// so finish the remaining loops in-process instead of failing.
-			if c.local == nil {
-				return nil, fmt.Errorf("fleet: no live workers (%d/%d nodes out of rotation)", len(excluded), c.ring.Size())
-			}
-			if c.m != nil {
-				c.m.FallbackRuns.Inc()
-				c.m.FallbackLoops.Add(uint64(len(pending)))
-			}
-			if c.trace != nil {
-				c.trace.Emit(obs.Event{Stage: obs.StageFleet, Outcome: obs.OutcomeFallback,
-					Reason: fmt.Sprintf("%d loops analyzed in-process", len(pending))})
-			}
-			rows, err := c.local(ctx, prog, knobs, pending, onLoop)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, fmt.Errorf("fleet: analysis cancelled: %w", context.Cause(ctx))
-				}
-				// The local reference execution failed; every worker would have
-				// agreed, so this is the program's fault, exactly like a 4xx.
-				return nil, &ProgramError{Node: "local", Msg: err.Error()}
-			}
-			if err := ctx.Err(); err != nil {
-				// Engine cancellation yields Cancelled rows, which a healthy
-				// run would never merge; surface the cancellation instead.
-				return nil, fmt.Errorf("fleet: analysis cancelled: %w", context.Cause(ctx))
-			}
-			for _, ref := range pending {
-				lj, ok := rows[ref]
-				if !ok {
-					return nil, fmt.Errorf("fleet: local fallback produced no verdict for %s #%d", ref.Fn, ref.Index)
-				}
-				results[ref] = lj
-			}
-			pending = nil
-			continue
-		}
-
-		// Dispatch every batch concurrently; drain outcomes as they land.
-		out := make(chan batchResult, len(batches))
-		for node, batch := range batches {
-			if c.m != nil {
-				c.m.Dispatches.Inc(node)
-			}
-			go func(node string, batch []LoopRef) {
-				out <- c.runBatch(ctx, node, batch, route[batch[0]], excluded, filename, source, knobs)
-			}(node, batch)
-		}
-
-		progress := false
-		transitions := false
-		var fatal error
-		for range batches {
-			br := <-out
-			for _, n := range br.failed {
-				if c.members.Suspect(n) {
-					transitions = true
-				}
-			}
-			var perr *ProgramError
-			if errors.As(br.err, &perr) && br.rep == nil {
-				// Keep draining so no dispatch goroutine leaks, then abort.
-				if fatal == nil {
-					fatal = br.err
-				}
-				continue
-			}
-			if br.rep == nil {
-				// Every attempt for this batch failed; its loops stay pending
-				// and the next round routes them to the ring successor.
-				if c.m != nil {
-					c.m.Redispatches.Inc()
-				}
-				if c.trace != nil {
-					c.trace.Emit(obs.Event{Stage: obs.StageFleet, Outcome: obs.OutcomeError, Err: br.err.Error()})
-				}
-				continue
-			}
-			if c.trace != nil {
-				c.trace.Emit(obs.Event{Stage: obs.StageFleet, Outcome: obs.OutcomeOK})
-			}
-			want := make(map[LoopRef]bool, len(br.refs))
-			for _, ref := range br.refs {
-				want[ref] = true
-			}
-			for _, lj := range br.rep.Loops {
-				ref := LoopRef{Fn: lj.Fn, Index: lj.Index}
-				if !want[ref] {
-					continue // a worker may never widen its batch
-				}
-				if _, dup := results[ref]; dup {
-					continue // at-least-once: first result wins
-				}
-				results[ref] = lj
-				progress = true
-				if onLoop != nil {
-					onLoop(lj)
-				}
-			}
-		}
-
-		if fatal != nil {
-			return nil, fatal
-		}
-
-		var still []LoopRef
-		for _, ref := range pending {
-			if _, ok := results[ref]; !ok {
-				still = append(still, ref)
-			}
-		}
-		pending = still
-		if len(pending) == 0 {
-			continue
-		}
-		// No-progress bounds. A round that merged nothing and changed no
-		// node's state is a worker answering 200 while omitting its loops —
-		// re-dispatching the same batches would spin forever, dead set or
-		// not. The barren bound additionally stops a flapping node (fails
-		// dispatch, passes probes) from spinning the run: every pending loop
-		// must land within a ring's worth of reroute rounds.
-		if progress {
-			stalled, barren = 0, 0
-			continue
-		}
-		barren++
-		if transitions {
-			stalled = 0
-		} else {
-			stalled++
-		}
-		if stalled >= 2 {
-			return nil, fmt.Errorf("fleet: %d loops missing from worker reports", len(pending))
-		}
-		if barren >= c.ring.Size()+2 {
-			return nil, fmt.Errorf("fleet: %d loops still pending after %d no-progress rounds", len(pending), barren)
-		}
+	defer r.wg.Wait()
+	defer cancel() // stops every attempt still in flight
+	if err := r.place(refs, "", false, start); err != nil {
+		return nil, err
 	}
-
-	return mergeReport(refs, results, time.Since(start)), nil
-}
-
-// runBatch drives one batch to completion against its owner: same-node
-// retries inside attemptNode, plus a hedge to the ring successor once the
-// straggler delay elapses. First successful report wins; the loser's
-// attempt is cancelled. Safe by verdict determinism — both nodes would
-// return identical rows.
-func (c *Coordinator) runBatch(ctx context.Context, primary string, batch []LoopRef, routeKey string, excluded map[string]bool, filename, source string, knobs Knobs) batchResult {
-	br := batchResult{refs: batch}
-	type outcome struct {
-		node string
-		rep  *core.ReportJSON
-		err  error
-	}
-	out := make(chan outcome, 2)
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	launch := func(node string) {
-		go func() {
-			rep, err := c.attemptNode(actx, node, filename, source, knobs, batch)
-			out <- outcome{node, rep, err}
-		}()
-	}
-	launch(primary)
-	inflight := 1
-	var hedgeC <-chan time.Time
-	if c.policy.HedgeAfter > 0 {
-		t := time.NewTimer(c.policy.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	for inflight > 0 {
+	for len(r.results) < len(refs) {
+		now := time.Now()
+		for len(r.queue) > 0 && !r.queue[0].at.After(now) {
+			w := r.queue[0]
+			r.queue = r.queue[1:]
+			if !w.hedge {
+				r.launch(w.a, now)
+			} else if err := r.settle(w.a, nil); err != nil {
+				return nil, err
+			}
+		}
+		var timer *time.Timer
+		var due <-chan time.Time
+		if len(r.queue) > 0 {
+			timer = time.NewTimer(r.queue[0].at.Sub(now))
+			due = timer.C
+		}
+		var err error
 		select {
-		case o := <-out:
-			inflight--
-			if o.err != nil {
-				br.failed = append(br.failed, o.node)
-				br.err = o.err
-				var perr *ProgramError
-				if errors.As(o.err, &perr) {
-					return br // the program's fault: no retry anywhere helps
-				}
-				continue
-			}
-			br.rep, br.node, br.err = o.rep, o.node, nil
-			if o.node != primary && c.m != nil {
-				c.m.HedgeWins.Inc()
-			}
-			return br
-		case <-hedgeC:
-			hedgeC = nil
-			if succ := c.hedgeTarget(primary, routeKey, excluded); succ != "" {
-				if c.m != nil {
-					c.m.Hedges.Inc()
-				}
-				if c.trace != nil {
-					c.trace.Emit(obs.Event{Stage: obs.StageFleet, Outcome: obs.OutcomeHedged,
-						Reason: primary + " -> " + succ})
-				}
-				launch(succ)
-				inflight++
-			}
-		case <-actx.Done():
-			br.err = context.Cause(actx)
-			return br
+		case o := <-r.out:
+			err = r.settle(o.a, &o)
+		case <-due:
+		case <-ctx.Done():
+			err = cancelled(ctx)
 		}
-	}
-	return br
-}
-
-// hedgeTarget picks the batch's hedge destination: the ring successor of
-// its route key with the primary also excluded. "" when no other live
-// node exists.
-func (c *Coordinator) hedgeTarget(primary, routeKey string, excluded map[string]bool) string {
-	ex := make(map[string]bool, len(excluded)+1)
-	for n := range excluded {
-		ex[n] = true
-	}
-	ex[primary] = true
-	return c.ring.Owner(routeKey, ex)
-}
-
-// attemptNode dispatches one batch to one node, retrying transient
-// failures on the same node up to the policy's retry budget. Each attempt
-// runs under the dispatch timeout; between attempts it waits the larger
-// of the decorrelated backoff and the worker's own Retry-After hint
-// (capped) — a shedding worker said when it wants to be retried, and
-// ignoring that only re-arrives into the same overload.
-func (c *Coordinator) attemptNode(ctx context.Context, node, filename, source string, knobs Knobs, batch []LoopRef) (*core.ReportJSON, error) {
-	var lastErr error
-	var retryAfter time.Duration
-	backoff := time.Duration(0)
-	for try := 0; try <= c.policy.NodeRetries; try++ {
-		if try > 0 {
-			backoff = c.policy.backoffStep(c.jitter, backoff)
-			wait := backoff
-			if retryAfter > 0 {
-				if retryAfter > c.policy.MaxRetryAfter {
-					retryAfter = c.policy.MaxRetryAfter
-				}
-				if retryAfter > wait {
-					wait = retryAfter
-				}
-			}
-			if c.m != nil {
-				c.m.NodeRetries.Inc()
-			}
-			if c.trace != nil {
-				c.trace.Emit(obs.Event{Stage: obs.StageFleet, Outcome: obs.OutcomeRetry, Reason: node})
-			}
-			if !sleepCtx(ctx, wait) {
-				return nil, context.Cause(ctx)
-			}
+		if timer != nil {
+			timer.Stop()
 		}
-		actx := ctx
-		cancel := func() {}
-		if c.policy.DispatchTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, c.policy.DispatchTimeout)
-		}
-		rep, ra, err := c.dispatch(actx, node, filename, source, knobs, batch)
-		cancel()
-		if err == nil {
-			// A successful dispatch is a successful probe: a node another run
-			// suspected moments ago has just proven itself.
-			c.admit(node)
-			return rep, nil
-		}
-		var perr *ProgramError
-		if errors.As(err, &perr) {
+		if err != nil {
 			return nil, err
 		}
-		if ctx.Err() != nil {
-			// The run (or the hedge winner) cancelled us; don't spin retries.
-			return nil, err
-		}
-		lastErr, retryAfter = err, ra
 	}
-	return nil, lastErr
+	return mergeReport(refs, r.results, time.Since(start)), nil
+}
+
+// run is one Analyze call's dispatch state, owned by its loop goroutine.
+type run struct {
+	c                *Coordinator
+	ctx              context.Context
+	prog             *ir.Program
+	filename, source string
+	knobs            Knobs
+	onLoop           func(core.LoopJSON)
+
+	router   *fingerprint.Router       // a loop's ring route key
+	results  map[LoopRef]core.LoopJSON // merged verdicts; first result wins
+	attempts map[LoopRef]int           // worker attempts launched per loop
+	local    map[LoopRef]bool          // loops handed to the local fallback
+	running  map[*attempt]bool         // started and not settled for good
+	queue    []wake                    // ordered by at, FIFO among equal deadlines
+	out      chan outcome
+	wg       sync.WaitGroup // attempt goroutines
+}
+
+// attempt is one dispatch of pending loops to one node ("" is the
+// in-process fallback). A same-node retry re-queues the attempt itself, so
+// its try count and backoff travel with it.
+type attempt struct {
+	refs    []LoopRef
+	node    string
+	hedge   bool // a straggler re-issue; never hedged itself
+	try     int
+	backoff time.Duration
+	cancel  context.CancelFunc
+}
+
+// wake is a queued deadline: an attempt's start or, for a fresh worker
+// placement with hedging on, its hedge deadline.
+type wake struct {
+	at    time.Time
+	a     *attempt
+	hedge bool
+}
+
+// outcome is what an attempt reports: its rows or the error that ended
+// it, or (partial) one row the local fallback streamed while running.
+type outcome struct {
+	a          *attempt
+	rows       []core.LoopJSON
+	retryAfter time.Duration
+	err        error
+	partial    bool
+}
+
+func (r *run) push(w wake) {
+	i := sort.Search(len(r.queue), func(i int) bool { return r.queue[i].at.After(w.at) })
+	r.queue = slices.Insert(r.queue, i, w)
+}
+
+// send reports to the run loop, or gives up once the run has returned.
+func (r *run) send(o outcome) {
+	select {
+	case r.out <- o:
+	case <-r.ctx.Done():
+	}
+}
+
+// pending filters refs down to the loops with no merged verdict yet.
+func (r *run) pending(refs []LoopRef) []LoopRef {
+	var left []LoopRef
+	for _, ref := range refs {
+		if _, done := r.results[ref]; !done {
+			left = append(left, ref)
+		}
+	}
+	return left
+}
+
+// place routes loops onto the live ring, skipping exclude (the node they
+// just failed on, or the primary a hedge shadows), and queues one attempt
+// per owner to start at `at`. Loops no live node owns go to the local
+// fallback, except for a hedge, which leaves them with its primary.
+func (r *run) place(refs []LoopRef, exclude string, hedge bool, at time.Time) error {
+	if !r.c.proberOn.Load() {
+		// No background prober (bare coordinator): probe due nodes inline
+		// so a recovered worker still rejoins across and within runs.
+		r.c.probeDue(r.ctx)
+	}
+	excluded := r.c.members.Excluded()
+	if exclude != "" {
+		excluded[exclude] = true
+	}
+	batches := make(map[string][]LoopRef)
+	var orphans []LoopRef
+	for _, ref := range refs {
+		if owner := r.c.ring.Owner(r.router.Route(ref.Fn, ref.Index).String(), excluded); owner != "" {
+			batches[owner] = append(batches[owner], ref)
+		} else {
+			orphans = append(orphans, ref)
+		}
+	}
+	for node, batch := range batches {
+		if hedge {
+			r.c.m.Hedges.Inc()
+			r.c.emit(obs.Event{Outcome: obs.OutcomeHedged, Reason: exclude + " -> " + node})
+		}
+		r.push(wake{at: at, a: &attempt{refs: batch, node: node, hedge: hedge}})
+	}
+	if len(orphans) == 0 || hedge {
+		return nil
+	}
+	return r.fallback(orphans, fmt.Errorf("fleet: no live workers (%d/%d nodes out of rotation)", len(excluded), r.c.ring.Size()))
+}
+
+// fallback hands loops to the in-process analyzer, at most once per loop:
+// its verdicts are final. Without a LocalAnalyzer, noLocal ends the run.
+func (r *run) fallback(refs []LoopRef, noLocal error) error {
+	if r.c.local == nil {
+		return noLocal
+	}
+	var fresh []LoopRef
+	for _, ref := range refs {
+		if !r.local[ref] {
+			r.local[ref] = true
+			fresh = append(fresh, ref)
+		}
+	}
+	if len(fresh) == 0 {
+		return nil
+	}
+	r.c.m.FallbackRuns.Inc()
+	r.c.m.FallbackLoops.Add(uint64(len(fresh)))
+	r.c.emit(obs.Event{Outcome: obs.OutcomeFallback, Reason: fmt.Sprintf("%d loops analyzed in-process", len(fresh))})
+	r.push(wake{at: time.Now(), a: &attempt{refs: fresh}})
+	return nil
+}
+
+// launch starts a due attempt on whichever of its loops are still pending.
+func (r *run) launch(a *attempt, now time.Time) {
+	if a.refs = r.pending(a.refs); len(a.refs) == 0 {
+		delete(r.running, a)
+		return
+	}
+	ctx, cancel := context.WithCancel(r.ctx)
+	a.cancel = cancel
+	r.running[a] = true
+	node, refs := a.node, a.refs
+	r.wg.Add(1)
+	if node == "" {
+		go r.analyzeLocal(ctx, a, refs)
+		return
+	}
+	for _, ref := range refs {
+		r.attempts[ref]++
+	}
+	if a.try == 0 {
+		r.c.m.Dispatches.Inc(node)
+		if !a.hedge && r.c.policy.HedgeAfter > 0 {
+			r.push(wake{at: now.Add(r.c.policy.HedgeAfter), a: a, hedge: true})
+		}
+	}
+	go func() {
+		defer r.wg.Done()
+		if d := r.c.policy.DispatchTimeout; d > 0 {
+			var stop context.CancelFunc
+			ctx, stop = context.WithTimeout(ctx, d)
+			defer stop()
+		}
+		rep, ra, err := r.c.dispatch(ctx, node, r.filename, r.source, r.knobs, refs)
+		o := outcome{a: a, retryAfter: ra, err: err}
+		if rep != nil {
+			o.rows = rep.Loops
+		}
+		r.send(o)
+	}()
+}
+
+// analyzeLocal runs a fallback attempt, streaming each row to the run loop
+// as it completes.
+func (r *run) analyzeLocal(ctx context.Context, a *attempt, refs []LoopRef) {
+	defer r.wg.Done()
+	rows, err := r.c.local(ctx, r.prog, r.knobs, refs, func(lj core.LoopJSON) {
+		r.send(outcome{a: a, rows: []core.LoopJSON{lj}, partial: true})
+	})
+	o := outcome{a: a}
+	if err != nil {
+		// The local reference execution failed; every worker would have
+		// agreed, so this is the program's fault, exactly like a 4xx.
+		o.err = &ProgramError{Node: "local", Msg: err.Error()}
+	}
+	for _, ref := range refs {
+		if lj, ok := rows[ref]; ok {
+			o.rows = append(o.rows, lj)
+		}
+	}
+	r.send(o)
+}
+
+// merge records an attempt's rows (first result wins, and a worker never
+// widens its batch) and streams each new verdict to onLoop.
+func (r *run) merge(a *attempt, rows []core.LoopJSON) {
+	for _, lj := range rows {
+		ref := LoopRef{Fn: lj.Fn, Index: lj.Index}
+		if _, dup := r.results[ref]; dup || !slices.Contains(a.refs, ref) {
+			continue
+		}
+		r.results[ref] = lj
+		if r.onLoop != nil {
+			r.onLoop(lj)
+		}
+	}
+}
+
+// exhausted reports whether any of refs has spent its worker-attempt
+// budget: a full retry series on every node, plus two series to spare for
+// hedges and re-admitted nodes.
+func (r *run) exhausted(refs []LoopRef) bool {
+	budget := (r.c.policy.NodeRetries + 1) * (r.c.ring.Size() + 2)
+	for _, ref := range refs {
+		if r.attempts[ref] >= budget {
+			return true
+		}
+	}
+	return false
+}
+
+// settle is the run's one re-issue decision. Given an attempt and how it
+// ended, or a nil outcome when a fresh placement is still unfinished at
+// its hedge deadline, it merges what landed and decides what follows for
+// the loops still pending: a hedge to the ring successors, the same node
+// again after backoff, the ring successors, the local fallback, or an
+// abort. It is safe by verdict determinism: semantics are at-least-once
+// and the first result wins on merge.
+func (r *run) settle(a *attempt, o *outcome) error {
+	if r.ctx.Err() != nil {
+		// Engine cancellation yields Cancelled rows, which a healthy run
+		// would never merge; surface the cancellation instead.
+		return cancelled(r.ctx)
+	}
+	if o == nil {
+		if left := r.pending(a.refs); r.running[a] && len(left) > 0 {
+			return r.place(left, a.node, true, time.Now())
+		}
+		return nil
+	}
+	if o.partial {
+		r.merge(a, o.rows)
+		return nil
+	}
+	a.cancel()
+	delete(r.running, a)
+	if o.err == nil && a.node != "" {
+		// A successful dispatch is a successful probe: a node another run
+		// suspected moments ago has just proven itself.
+		r.c.admit(a.node)
+	}
+	left := r.pending(a.refs)
+	if len(left) == 0 {
+		return nil // every loop landed elsewhere first
+	}
+	var perr *ProgramError
+	if errors.As(o.err, &perr) {
+		return o.err // the program's fault: every node would agree
+	}
+	p := r.c.policy
+
+	if o.err == nil {
+		r.merge(a, o.rows)
+		if a.node != "" {
+			r.c.emit(obs.Event{Outcome: obs.OutcomeOK})
+		}
+		if a.hedge {
+			r.c.m.HedgeWins.Inc()
+		}
+		for b := range r.running {
+			if len(r.pending(b.refs)) == 0 {
+				b.cancel()
+			}
+		}
+		if left = r.pending(left); len(left) == 0 {
+			return nil
+		}
+		if a.node == "" {
+			return fmt.Errorf("fleet: local fallback produced no verdict for %s #%d", left[0].Fn, left[0].Index)
+		}
+		// The worker answered 200 but omitted loops: place them again
+		// after a backoff, until their budget runs out.
+		if r.exhausted(left) {
+			return r.fallback(left, fmt.Errorf("fleet: %d loops missing from worker reports", len(left)))
+		}
+		return r.place(left, "", false, time.Now().Add(p.backoffStep(r.c.jitter, a.backoff)))
+	}
+
+	// A transient failure (transport error, 5xx, timeout): the node's fault.
+	if r.exhausted(left) {
+		return r.fallback(left, fmt.Errorf("fleet: %d loops still pending after their attempt budget: %w", len(left), o.err))
+	}
+	if a.try < p.NodeRetries {
+		a.try++
+		a.backoff = p.backoffStep(r.c.jitter, a.backoff)
+		wait := max(a.backoff, min(o.retryAfter, p.MaxRetryAfter))
+		r.c.m.NodeRetries.Inc()
+		r.c.emit(obs.Event{Outcome: obs.OutcomeRetry, Reason: a.node})
+		a.refs, r.running[a] = left, true
+		r.push(wake{at: time.Now().Add(wait), a: a})
+		return nil
+	}
+	r.c.members.Suspect(a.node)
+	r.c.m.Redispatches.Inc()
+	r.c.emit(obs.Event{Outcome: obs.OutcomeError, Err: o.err.Error()})
+	return r.place(left, a.node, false, time.Now())
+}
+
+func cancelled(ctx context.Context) error {
+	return fmt.Errorf("fleet: analysis cancelled: %w", context.Cause(ctx))
 }
 
 // dispatch sends one batch to one worker and decodes its report. Any
 // non-200 status — including a 503 shed — is a failed attempt; a 503's
 // Retry-After hint is returned so the caller can honor it.
 func (c *Coordinator) dispatch(ctx context.Context, node, filename, source string, knobs Knobs, batch []LoopRef) (*core.ReportJSON, time.Duration, error) {
-	body, err := json.Marshal(workerRequest{
-		Filename:    filename,
-		Source:      source,
-		Schedules:   knobs.Schedules,
-		MaxSteps:    knobs.MaxSteps,
-		TimeoutMS:   knobs.TimeoutMS,
-		NoCache:     knobs.NoCache,
-		StopAfter:   knobs.StopAfter,
-		NoFootprint: knobs.NoFootprint,
-		NoProve:     knobs.NoProve,
-		NoVM:        knobs.NoVM,
-		Loops:       batch,
-	})
+	body, err := json.Marshal(workerRequest{Filename: filename, Source: source, Knobs: knobs, Loops: batch})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -141,7 +141,29 @@ func TestFleetIdentity(t *testing.T) {
 		t.Fatal("reference table is empty")
 	}
 
-	f := newTestFleet(t, 3)
+	// Routing hashes node URLs, so whether the ring splits the program
+	// depends on the ports the OS handed out; retry fleets until it does.
+	prog, err := irbuild.Compile("fleet.mc", fleetSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := routerFor(prog)
+	var f *testFleet
+	for attempt := 0; ; attempt++ {
+		f = newTestFleet(t, 3)
+		ring := fleet.NewRing(f.urls)
+		owners := map[string]bool{}
+		for _, ref := range fleet.EnumerateLoops(prog) {
+			owners[ring.Owner(route(ref), nil)] = true
+		}
+		if len(owners) >= 2 {
+			break
+		}
+		f.stop()
+		if attempt >= 50 {
+			t.Fatal("ring never split the loops across nodes")
+		}
+	}
 	rep, got := f.analyze(t)
 	if got != want {
 		t.Errorf("3-node table diverged from single node:\n--- single ---\n%s--- fleet ---\n%s", want, got)

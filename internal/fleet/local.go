@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dca/internal/core"
-	"dca/internal/dcart"
 	"dca/internal/engine"
 	"dca/internal/ir"
 	"dca/internal/obs"
@@ -56,30 +55,15 @@ func NewLocalAnalyzer(lc LocalConfig) LocalAnalyzer {
 		lc.Timeout = 30 * time.Second
 	}
 	return func(ctx context.Context, prog *ir.Program, knobs Knobs, refs []LoopRef, onLoop func(core.LoopJSON)) (map[LoopRef]core.LoopJSON, error) {
-		n := knobs.Schedules
-		if n <= 0 || n > lc.Schedules {
-			n = lc.Schedules
-		}
-		scheds := []dcart.Schedule{dcart.Reverse{}}
-		for i := 0; i < n; i++ {
-			scheds = append(scheds, dcart.Random{Seed: int64(i + 1)})
-		}
-		copt := core.Options{
-			Schedules:      scheds,
-			MaxSteps:       clampBudget(lc.MaxSteps, knobs.MaxSteps),
-			Timeout:        time.Duration(clampBudget(int64(lc.Timeout), knobs.TimeoutMS*int64(time.Millisecond))),
+		copt := knobs.Options(lc.Schedules, core.Options{
+			MaxSteps:       lc.MaxSteps,
+			Timeout:        lc.Timeout,
 			MaxHeapObjects: lc.MaxHeapObjects,
 			MaxOutput:      lc.MaxOutput,
 			Retries:        lc.Retries,
-			StopAfter:      knobs.StopAfter,
-			NoFootprint:    knobs.NoFootprint,
-			NoProve:        knobs.NoProve,
-			NoVM:           knobs.NoVM,
+			Cache:          lc.Cache,
 			Trace:          lc.Trace,
-		}
-		if !knobs.NoCache {
-			copt.Cache = lc.Cache
-		}
+		})
 		only := make(map[engine.LoopKey]bool, len(refs))
 		for _, ref := range refs {
 			only[engine.LoopKey{Fn: ref.Fn, Index: ref.Index}] = true
@@ -106,17 +90,4 @@ func NewLocalAnalyzer(lc LocalConfig) LocalAnalyzer {
 		}
 		return rows, nil
 	}
-}
-
-// clampBudget lowers def to req when the batch asks for less; a batch can
-// never exceed the local ceiling. Identical to the server's clamp so a
-// fallback analysis and a worker agree on effective budgets.
-func clampBudget(def, req int64) int64 {
-	if req <= 0 {
-		return def
-	}
-	if def <= 0 || req < def {
-		return req
-	}
-	return def
 }

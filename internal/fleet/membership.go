@@ -85,7 +85,7 @@ func (m *Membership) State(node string) NodeState {
 
 // Excluded returns the set of nodes currently out of dispatch rotation —
 // everything not live. The ring's Owner lookup takes it as its dead set.
-// The returned map is a fresh copy; callers may hold it across a round.
+// The returned map is a fresh copy; callers may keep and extend it.
 func (m *Membership) Excluded() map[string]bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

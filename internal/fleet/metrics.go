@@ -27,9 +27,9 @@ type Metrics struct {
 	Probes        *obs.Counter
 	ProbeFailures *obs.Counter
 	Rejoins       *obs.Counter
-	// FallbackRuns / FallbackLoops count graceful degradation: rounds where
-	// no live worker remained and the coordinator analyzed in-process, and
-	// the loops those rounds covered.
+	// FallbackRuns / FallbackLoops count graceful degradation: hand-offs
+	// where no live worker remained and the coordinator analyzed in-process,
+	// and the loops those hand-offs covered.
 	FallbackRuns  *obs.Counter
 	FallbackLoops *obs.Counter
 	// PeerHits / PeerMisses / PeerErrors / PeerWrites count peer
@@ -63,7 +63,7 @@ func NewMetrics(reg *obs.Registry, ring *Ring) *Metrics {
 		Rejoins: reg.Counter("dca_fleet_rejoins_total",
 			"Nodes re-admitted to dispatch rotation."),
 		FallbackRuns: reg.Counter("dca_fleet_fallback_runs_total",
-			"Dispatch rounds degraded to in-process analysis (no live workers)."),
+			"Loop batches degraded to in-process analysis (no live workers)."),
 		FallbackLoops: reg.Counter("dca_fleet_fallback_loops_total",
 			"Loops analyzed in-process by the local fallback."),
 		PeerHits: reg.Counter("dca_fleet_peer_hits_total",

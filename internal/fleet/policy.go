@@ -1,13 +1,12 @@
 package fleet
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // Policy is the coordinator's dispatch resilience configuration. The zero
-// value is filled with production defaults by withDefaults; every knob is
-// also reachable from `dca serve` and `dca fleet-bench` flags.
+// value is filled with production defaults by withDefaults. `dca serve`
+// exposes DispatchTimeout, NodeRetries, HedgeAfter and ProbeInterval as
+// flags; the other knobs keep their defaults there and are set only by
+// library callers (tests, `dca fleet-bench -chaos`).
 type Policy struct {
 	// DispatchTimeout caps one batch dispatch attempt's wall clock — the
 	// bound that turns a hung worker into a retryable failure instead of a
@@ -15,8 +14,9 @@ type Policy struct {
 	// applies).
 	DispatchTimeout time.Duration
 	// NodeRetries is how many times a transient dispatch failure retries
-	// the same node before the node is declared suspect and the batch
-	// re-routes. Negative disables retries; the default is 1.
+	// the same node before the node is declared suspect and the loops
+	// re-route to their ring successors. Negative disables retries; the
+	// default is 1.
 	NodeRetries int
 	// HedgeAfter is the straggler delay: a batch still unfinished after
 	// this long is re-issued to its ring successor, first result wins —
@@ -31,8 +31,8 @@ type Policy struct {
 	// ProbeBackoffCap bounds the exponential probe backoff for nodes that
 	// keep failing probes (default 30s).
 	ProbeBackoffCap time.Duration
-	// RetryBase seeds the decorrelated-jitter backoff between re-dispatch
-	// rounds and between same-node retries (default 25ms).
+	// RetryBase seeds the decorrelated-jitter backoff between same-node
+	// retries, and before re-placing loops a worker omitted (default 25ms).
 	RetryBase time.Duration
 	// RetryCap bounds that backoff (default 2s).
 	RetryCap time.Duration
@@ -90,20 +90,4 @@ func (p Policy) backoffStep(jitter func(int64) int64, prev time.Duration) time.D
 		d = p.RetryCap
 	}
 	return d
-}
-
-// sleepCtx waits d or until ctx is done, reporting whether the full wait
-// elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

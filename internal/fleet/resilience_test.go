@@ -4,11 +4,15 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -231,6 +235,108 @@ func TestFleetHedgedDispatch(t *testing.T) {
 	}
 	if m.HedgeWins.Value() == 0 {
 		t.Error("no hedge wins counted")
+	}
+}
+
+// TestFleetNoRoundBarrier: a failed batch is re-issued as soon as its
+// node is given up on, not after the slowest healthy batch returns. One
+// worker refuses connections, one holds its first batch for two seconds,
+// and every loop the refusing worker owned must be merged before the held
+// batch comes back.
+func TestFleetNoRoundBarrier(t *testing.T) {
+	single := newTestFleet(t, 1)
+	_, want := single.analyze(t)
+	single.stop()
+
+	prog, err := irbuild.Compile("fleet.mc", fleetSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := fleet.EnumerateLoops(prog)
+	route := routerFor(prog)
+
+	// Node 0 refuses, node 1 holds, node 2 is healthy. Retry listener
+	// triples until the ring gives both the refusing and the holding node
+	// at least one loop.
+	var urls []string
+	var listeners []net.Listener
+	var owned map[string][]fleet.LoopRef
+	for attempt := 0; attempt < 100 && listeners == nil; attempt++ {
+		urls = []string{deadAddr(t)}
+		for i := 0; i < 2; i++ {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			listeners = append(listeners, ln)
+			urls = append(urls, "http://"+ln.Addr().String())
+		}
+		ring := fleet.NewRing(urls)
+		owned = map[string][]fleet.LoopRef{}
+		for _, ref := range refs {
+			owner := ring.Owner(route(ref), nil)
+			owned[owner] = append(owned[owner], ref)
+		}
+		if len(owned[urls[0]]) == 0 || len(owned[urls[1]]) == 0 {
+			for _, ln := range listeners {
+				ln.Close()
+			}
+			listeners = nil
+		}
+	}
+	if listeners == nil {
+		t.Fatal("ring never gave both the refusing and the holding node a loop")
+	}
+
+	c, err := cache.Open("", 0, core.CacheRecordVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := server.New(server.Config{Workers: 2, Cache: c})
+	const hold = 2 * time.Second
+	var held atomic.Bool
+	var released atomic.Int64 // unix nanos when the held batch is let go
+	holding := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Hold the node's own batch, never a re-issue of the refusing
+		// node's loops, however the two arrive.
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req server.AnalyzeRequest
+		if json.Unmarshal(body, &req) == nil && slices.Contains(req.Loops, owned[urls[1]][0]) && !held.Swap(true) {
+			time.Sleep(hold)
+			released.Store(time.Now().UnixNano())
+		}
+		worker.Handler().ServeHTTP(w, r)
+	})}
+	healthy := &http.Server{Handler: worker.Handler()}
+	go holding.Serve(listeners[0])
+	go healthy.Serve(listeners[1])
+	t.Cleanup(func() { holding.Close(); healthy.Close() })
+
+	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{Nodes: urls, Policy: fastPolicy()})
+	coord.SetMetrics(newMetrics(urls))
+	arrived := map[fleet.LoopRef]time.Time{}
+	onLoop := func(lj core.LoopJSON) { arrived[fleet.LoopRef{Fn: lj.Fn, Index: lj.Index}] = time.Now() }
+	rep, err := coord.Analyze(context.Background(), prog, "fleet.mc", fleetSrc, fleet.Knobs{Schedules: 1}, onLoop)
+	if err != nil {
+		t.Fatalf("analyze with a refusing and a holding worker: %v", err)
+	}
+	if got := renderTable(rep); got != want {
+		t.Errorf("table diverged:\n--- single ---\n%s--- fleet ---\n%s", want, got)
+	}
+	if released.Load() == 0 {
+		t.Fatal("the holding worker never received a batch")
+	}
+	release := time.Unix(0, released.Load())
+	for _, ref := range owned[urls[0]] {
+		at, ok := arrived[ref]
+		if !ok {
+			t.Fatalf("%s #%d never reached onLoop", ref.Fn, ref.Index)
+		}
+		if !at.Before(release) {
+			t.Errorf("%s #%d (refusing node's) merged %v after the held batch returned; its re-issue waited on the slowest batch",
+				ref.Fn, ref.Index, at.Sub(release))
+		}
 	}
 }
 

@@ -221,14 +221,14 @@ func TestAsyncDisconnectDoesNotCancelRun(t *testing.T) {
 func TestAnalyzeKnobValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
-	resp, body := postAnalyze(t, ts.URL, AnalyzeRequest{Filename: "t.mc", Source: testSrc, StopAfter: -1})
+	resp, body := postAnalyze(t, ts.URL, AnalyzeRequest{Filename: "t.mc", Source: testSrc, Knobs: fleet.Knobs{StopAfter: -1}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("stop_after=-1 status = %d, want 400: %s", resp.StatusCode, body)
 	}
 
 	resp, body = postAnalyze(t, ts.URL, AnalyzeRequest{
 		Filename: "t.mc", Source: testSrc,
-		StopAfter: 1, NoFootprint: true, NoVM: true,
+		Knobs: fleet.Knobs{StopAfter: 1, NoFootprint: true, NoVM: true},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("knobbed analyze status = %d, want 200: %s", resp.StatusCode, body)

@@ -81,7 +81,6 @@ import (
 
 	"dca/internal/cache"
 	"dca/internal/core"
-	"dca/internal/dcart"
 	"dca/internal/engine"
 	"dca/internal/fingerprint"
 	"dca/internal/fleet"
@@ -482,30 +481,9 @@ type AnalyzeRequest struct {
 	Filename string `json:"filename,omitempty"`
 	// Source is the MiniC program to analyze.
 	Source string `json:"source"`
-	// Schedules overrides the number of random permutation schedules
-	// (bounded by the server default; 0 keeps the default).
-	Schedules int `json:"schedules,omitempty"`
-	// MaxSteps / TimeoutMS tighten the per-execution budgets; values above
-	// the server ceiling are clamped down to it. Negative values, and
-	// timeouts too large to express in nanoseconds, are rejected with 400.
-	MaxSteps  int64 `json:"max_steps,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NoCache forces a fresh computation for this request.
-	NoCache bool `json:"no_cache,omitempty"`
-	// StopAfter enables the sequential stopping rule: once this many
-	// consecutive schedules agree with the golden run, the rest are
-	// skipped. 0 tests every schedule; negative is rejected with 400.
-	StopAfter int `json:"stop_after,omitempty"`
-	// NoFootprint disables the footprint fast path for this request.
-	NoFootprint bool `json:"no_footprint,omitempty"`
-	// NoProve disables the static commutativity prover for this request,
-	// so every loop's verdict comes from the dynamic stage.
-	NoProve bool `json:"no_prove,omitempty"`
-	// NoVM runs this request's executions on the tree-walking interpreter
-	// instead of the bytecode VM. Unlike the CLI's process-wide -no-vm
-	// flag, this is per-request: concurrent requests with different
-	// settings never interfere.
-	NoVM bool `json:"no_vm,omitempty"`
+	// Knobs are the analysis options (schedules, budgets, no_* switches);
+	// the server's Config supplies their ceilings.
+	fleet.Knobs
 	// Loops, when non-empty, restricts the analysis to the listed loops —
 	// the fleet's shard filter. The reference execution still runs once;
 	// only the listed loops are analyzed and reported.
@@ -535,19 +513,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 			log.Printf("server: response encode failed (further occurrences counted in dca_response_encode_errors_total): %v", err)
 		})
 	}
-}
-
-// clampBudget lowers def to req when the request asks for less; requests
-// can never exceed the server ceiling. def <= 0 (unlimited server budget)
-// adopts any requested bound.
-func clampBudget(def, req int64) int64 {
-	if req <= 0 {
-		return def
-	}
-	if def <= 0 || req < def {
-		return req
-	}
-	return def
 }
 
 // maxTimeoutMS is the largest request timeout expressible in nanoseconds;
@@ -580,30 +545,15 @@ func (req *AnalyzeRequest) validate() error {
 // options assembles the engine options for one request. The request has
 // passed validate, so the budget arithmetic cannot overflow.
 func (s *Server) options(req *AnalyzeRequest) engine.Options {
-	n := req.Schedules
-	if n <= 0 || n > s.cfg.Schedules {
-		n = s.cfg.Schedules
-	}
-	scheds := []dcart.Schedule{dcart.Reverse{}}
-	for i := 0; i < n; i++ {
-		scheds = append(scheds, dcart.Random{Seed: int64(i + 1)})
-	}
-	copt := core.Options{
-		Schedules:      scheds,
-		MaxSteps:       clampBudget(s.cfg.MaxSteps, req.MaxSteps),
-		Timeout:        time.Duration(clampBudget(int64(s.cfg.Timeout), req.TimeoutMS*int64(time.Millisecond))),
+	copt := req.Options(s.cfg.Schedules, core.Options{
+		MaxSteps:       s.cfg.MaxSteps,
+		Timeout:        s.cfg.Timeout,
 		MaxHeapObjects: s.cfg.MaxHeapObjects,
 		MaxOutput:      s.cfg.MaxOutput,
 		Retries:        s.cfg.Retries,
-		StopAfter:      req.StopAfter,
-		NoFootprint:    req.NoFootprint,
-		NoProve:        req.NoProve,
-		NoVM:           req.NoVM,
+		Cache:          s.cfg.Cache,
 		Trace:          s.sink,
-	}
-	if !req.NoCache {
-		copt.Cache = s.cfg.Cache
-	}
+	})
 	eopt := engine.Options{Core: copt, Pool: s.pool}
 	if len(req.Loops) > 0 {
 		only := make(map[engine.LoopKey]bool, len(req.Loops))
@@ -613,21 +563,6 @@ func (s *Server) options(req *AnalyzeRequest) engine.Options {
 		eopt.Only = only
 	}
 	return eopt
-}
-
-// knobs re-expresses the request's analysis options for fleet dispatch, so
-// workers run under exactly this request's configuration.
-func (s *Server) knobs(req *AnalyzeRequest) fleet.Knobs {
-	return fleet.Knobs{
-		Schedules:   req.Schedules,
-		MaxSteps:    req.MaxSteps,
-		TimeoutMS:   req.TimeoutMS,
-		NoCache:     req.NoCache,
-		StopAfter:   req.StopAfter,
-		NoFootprint: req.NoFootprint,
-		NoProve:     req.NoProve,
-		NoVM:        req.NoVM,
-	}
 }
 
 // shedRequest turns one request away with 503, a Retry-After hint, and the
@@ -778,7 +713,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // once as it completes (the async path feeds the run registry with it).
 func (s *Server) analyze(ctx context.Context, prog *ir.Program, filename string, req *AnalyzeRequest, onLoop func(core.LoopJSON)) (*core.ReportJSON, error) {
 	if s.coord != nil {
-		return s.coord.Analyze(ctx, prog, filename, req.Source, s.knobs(req), onLoop)
+		return s.coord.Analyze(ctx, prog, filename, req.Source, req.Knobs, onLoop)
 	}
 	eopt := s.options(req)
 	if onLoop != nil {
@@ -896,7 +831,7 @@ func (s *Server) runAsync(run *fleet.Run, prog *ir.Program, req *AnalyzeRequest)
 				run.Complete(lj)
 			}
 		}
-		rep, err = s.coord.Analyze(ctx, prog, filename, req.Source, s.knobs(req), onLoop)
+		rep, err = s.coord.Analyze(ctx, prog, filename, req.Source, req.Knobs, onLoop)
 	} else {
 		eopt := s.options(req)
 		eopt.OnLoop = func(res *core.LoopResult) { run.Complete(res.JSON()) }

@@ -15,6 +15,7 @@ import (
 
 	"dca/internal/cache"
 	"dca/internal/core"
+	"dca/internal/fleet"
 	"dca/internal/obs"
 )
 
@@ -117,7 +118,7 @@ func TestAnalyzeComputedThenCached(t *testing.T) {
 	}
 
 	// no_cache forces recomputation even with the cache populated.
-	resp, body = postAnalyze(t, ts.URL, AnalyzeRequest{Source: testSrc, NoCache: true})
+	resp, body = postAnalyze(t, ts.URL, AnalyzeRequest{Source: testSrc, Knobs: fleet.Knobs{NoCache: true}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("no_cache status %d: %s", resp.StatusCode, body)
 	}
@@ -283,12 +284,44 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRequestSchema: embedding fleet.Knobs keeps the /analyze wire
+// keys exactly as clients and coordinators already send them.
+func TestAnalyzeRequestSchema(t *testing.T) {
+	req := AnalyzeRequest{
+		Filename: "t.mc",
+		Source:   testSrc,
+		Knobs: fleet.Knobs{
+			Schedules: 2, MaxSteps: 10, TimeoutMS: 10, NoCache: true,
+			StopAfter: 1, NoFootprint: true, NoProve: true, NoVM: true,
+		},
+		Loops: []fleet.LoopRef{{Fn: "main", Index: 0}},
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"filename", "source", "schedules", "max_steps", "timeout_ms", "no_cache",
+		"stop_after", "no_footprint", "no_prove", "no_vm", "loops"}
+	if len(fields) != len(want) {
+		t.Errorf("request has %d keys, want %d: %s", len(fields), len(want), data)
+	}
+	for _, k := range want {
+		if _, ok := fields[k]; !ok {
+			t.Errorf("request lacks key %q: %s", k, data)
+		}
+	}
+}
+
 // TestBudgetClamping: requests may tighten sandbox budgets but a request
 // asking for more than the server ceiling is clamped down to it.
 func TestBudgetClamping(t *testing.T) {
 	s := New(Config{MaxSteps: 1000, Timeout: time.Second, Schedules: 2})
 
-	opt := s.options(&AnalyzeRequest{MaxSteps: 500, TimeoutMS: 100})
+	opt := s.options(&AnalyzeRequest{Knobs: fleet.Knobs{MaxSteps: 500, TimeoutMS: 100}})
 	if opt.Core.MaxSteps != 500 {
 		t.Errorf("tightened MaxSteps = %d, want 500", opt.Core.MaxSteps)
 	}
@@ -296,7 +329,7 @@ func TestBudgetClamping(t *testing.T) {
 		t.Errorf("tightened Timeout = %v, want 100ms", opt.Core.Timeout)
 	}
 
-	opt = s.options(&AnalyzeRequest{MaxSteps: 1 << 40, TimeoutMS: 3600_000})
+	opt = s.options(&AnalyzeRequest{Knobs: fleet.Knobs{MaxSteps: 1 << 40, TimeoutMS: 3600_000}})
 	if opt.Core.MaxSteps != 1000 {
 		t.Errorf("clamped MaxSteps = %d, want the 1000 ceiling", opt.Core.MaxSteps)
 	}
@@ -305,10 +338,10 @@ func TestBudgetClamping(t *testing.T) {
 	}
 
 	// Schedule count is bounded by the server default too.
-	if got := len(s.options(&AnalyzeRequest{Schedules: 100}).Core.Schedules); got != 3 {
+	if got := len(s.options(&AnalyzeRequest{Knobs: fleet.Knobs{Schedules: 100}}).Core.Schedules); got != 3 {
 		t.Errorf("schedules = %d (incl. reverse), want 3", got)
 	}
-	if got := len(s.options(&AnalyzeRequest{Schedules: 1}).Core.Schedules); got != 2 {
+	if got := len(s.options(&AnalyzeRequest{Knobs: fleet.Knobs{Schedules: 1}}).Core.Schedules); got != 2 {
 		t.Errorf("schedules = %d (incl. reverse), want 2", got)
 	}
 }
@@ -357,11 +390,11 @@ func TestRequestValidation(t *testing.T) {
 		wantErr bool
 	}{
 		{"zero", AnalyzeRequest{}, false},
-		{"max-timeout", AnalyzeRequest{TimeoutMS: maxTimeoutMS}, false},
-		{"overflow-timeout", AnalyzeRequest{TimeoutMS: maxTimeoutMS + 1}, true},
-		{"negative-timeout", AnalyzeRequest{TimeoutMS: -1}, true},
-		{"negative-steps", AnalyzeRequest{MaxSteps: -1}, true},
-		{"negative-schedules", AnalyzeRequest{Schedules: -1}, true},
+		{"max-timeout", AnalyzeRequest{Knobs: fleet.Knobs{TimeoutMS: maxTimeoutMS}}, false},
+		{"overflow-timeout", AnalyzeRequest{Knobs: fleet.Knobs{TimeoutMS: maxTimeoutMS + 1}}, true},
+		{"negative-timeout", AnalyzeRequest{Knobs: fleet.Knobs{TimeoutMS: -1}}, true},
+		{"negative-steps", AnalyzeRequest{Knobs: fleet.Knobs{MaxSteps: -1}}, true},
+		{"negative-schedules", AnalyzeRequest{Knobs: fleet.Knobs{Schedules: -1}}, true},
 	}
 	for _, tc := range cases {
 		if err := tc.req.validate(); (err != nil) != tc.wantErr {
@@ -371,7 +404,7 @@ func TestRequestValidation(t *testing.T) {
 
 	// A validated maximal timeout must never reach the engine negative.
 	s := New(Config{Timeout: time.Second})
-	if d := s.options(&AnalyzeRequest{TimeoutMS: maxTimeoutMS}).Core.Timeout; d != time.Second {
+	if d := s.options(&AnalyzeRequest{Knobs: fleet.Knobs{TimeoutMS: maxTimeoutMS}}).Core.Timeout; d != time.Second {
 		t.Errorf("maximal timeout_ms produced engine timeout %v, want the 1s ceiling", d)
 	}
 }
