@@ -84,8 +84,8 @@ func cmdFuzz(args []string) error {
 		fmt.Fprintf(os.Stderr, "dca fuzz: wrote %s\n", *benchOut)
 	}
 	if n := stats.ViolationCount(); n > 0 {
-		return fmt.Errorf("fuzz: %d violations (%d soundness, %d label, %d parallel-divergence) across %d failures — see repro lines above",
-			n, stats.SoundnessViolations, stats.LabelViolations, stats.ParallelDivergences, len(failures))
+		return fmt.Errorf("fuzz: %d violations (%d soundness, %d label, %d parallel-divergence, %d digest-divergence) across %d failures — see repro lines above",
+			n, stats.SoundnessViolations, stats.LabelViolations, stats.ParallelDivergences, stats.DigestDivergences, len(failures))
 	}
 	return nil
 }
@@ -122,8 +122,8 @@ func printFuzzSummary(s *diff.Stats, verbose bool) {
 	fmt.Printf("labeled loops: %s\n", sortedCounts(s.Labels))
 	fmt.Printf("parallel oracle: %d loops checked, %d refused\n", s.ParallelChecked, s.ParallelRefused)
 	fmt.Printf("prover: %d loops static-proved (each cross-checked dynamically)\n", s.ProvedLoops)
-	fmt.Printf("violations: %d soundness, %d label, %d parallel-divergence, %d exec-divergence, %d prover-divergence\n",
-		s.SoundnessViolations, s.LabelViolations, s.ParallelDivergences, s.ExecDivergences, s.ProverDivergences)
+	fmt.Printf("violations: %d soundness, %d label, %d parallel-divergence, %d exec-divergence, %d prover-divergence, %d digest-divergence\n",
+		s.SoundnessViolations, s.LabelViolations, s.ParallelDivergences, s.ExecDivergences, s.ProverDivergences, s.DigestDivergences)
 	if verbose {
 		fmt.Printf("label/verdict: %s\n", sortedCounts(s.LabelVerdicts))
 		names := make([]string, 0, len(s.Baselines))

@@ -193,7 +193,7 @@ func cmdAnalyze(args []string) error {
 	resume := fs.Bool("resume", false, "replay -journal and skip already-verdicted loops")
 	syncEvery := fs.Int("journal-sync", 0, "journal fsync batch size (0 = default, 1 = every record)")
 	tracePath := fs.String("trace", "", "append per-loop trace events to this JSONL file")
-	debugSnapshots := fs.Bool("debug-snapshots", false, "keep string snapshots alongside digests for mismatch diagnosis")
+	debugSnapshots := fs.Bool("debug-snapshots", false, "keep string snapshots for mismatch diagnosis and check every incremental digest against a full walk")
 	stopAfter := fs.Int("stop-after", 0, "stop replaying after this many consecutive agreeing schedules (0 = test all)")
 	noFootprint := fs.Bool("no-footprint", false, "disable the footprint fast path (always run schedule replays)")
 	noProve := fs.Bool("no-prove", false, "disable the static commutativity prover (every verdict comes from the dynamic stage)")

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 
 	"dca/internal/instrument"
 	"dca/internal/interp"
@@ -108,13 +109,20 @@ type Runtime struct {
 	// recorder must be installed in the executor's interp.Config.
 	Footprint *interp.Footprint
 
-	records [][]ir.Value
+	tuples  *tupleBuf // the current invocation's iterator tuples
 	order   []int
 	cursor  int
 	driving bool
 
+	// digest keeps the live-out digest up to date from the executor's
+	// stores; oracle walks the graph afresh for the DebugSnapshots check.
+	digest Digester
+	oracle Digester
+
 	// DebugSnapshots additionally materializes the full string serialization
-	// of every snapshot into SnapshotStrings, for mismatch diagnosis. Off by
+	// of every snapshot into SnapshotStrings, for mismatch diagnosis, and
+	// cross-checks every incremental digest against a full walk of the
+	// graph: a mismatch fails the run with ErrDigestDivergence. Off by
 	// default: the digest alone decides equality on the hot path.
 	DebugSnapshots bool
 
@@ -131,10 +139,53 @@ type Runtime struct {
 	Iterations  int64
 }
 
+// tupleBuf holds one invocation's recorded iterator tuples back to back:
+// tuple i is vals[ends[i-1]:ends[i]]. A runtime holds a buffer only from an
+// invocation's first rt_iterator_linearize to its rt_verify, so buffers
+// are recycled across invocations and runtimes alike.
+type tupleBuf struct {
+	vals []ir.Value
+	ends []int
+}
+
+var tupleBufs = sync.Pool{New: func() any { return new(tupleBuf) }}
+
+// tuple returns recorded tuple i.
+func (b *tupleBuf) tuple(i int) []ir.Value {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.vals[start:b.ends[i]]
+}
+
+// count reports how many tuples b holds; a nil buffer holds none.
+func (b *tupleBuf) count() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.ends)
+}
+
+// ErrDigestDivergence fails a DebugSnapshots run whose incremental live-out
+// digest disagrees with a full walk of the same graph.
+var ErrDigestDivergence = errors.New("dcart: incremental digest diverged from a full walk")
+
 // NewRuntime creates a runtime applying the given schedule.
 func NewRuntime(s Schedule) *Runtime { return &Runtime{Schedule: s} }
 
-var _ interp.Runtime = (*Runtime)(nil)
+var (
+	_ interp.Runtime       = (*Runtime)(nil)
+	_ interp.StoreObserver = (*Runtime)(nil)
+)
+
+// ObserveStores implements interp.StoreObserver: the executor reports every
+// heap store the digest wants, so live-out digests can be updated
+// incrementally.
+func (rt *Runtime) ObserveStores() *bool { return rt.digest.ObserveStores() }
+
+// OnStore implements interp.StoreObserver.
+func (rt *Runtime) OnStore(obj *ir.Object, idx int, v ir.Value) { rt.digest.OnStore(obj, idx, v) }
 
 // Intrinsic implements interp.Runtime.
 func (rt *Runtime) Intrinsic(_ interp.Env, fr *interp.Frame, name string, args []ir.Value) (ir.Value, error) {
@@ -143,18 +194,21 @@ func (rt *Runtime) Intrinsic(_ interp.Env, fr *interp.Frame, name string, args [
 		if rt.driving {
 			return ir.Value{}, errors.New("dcart: nested loop invocation during replay (re-entrant test loop)")
 		}
-		tup := make([]ir.Value, len(args))
-		copy(tup, args)
-		rt.records = append(rt.records, tup)
+		if rt.tuples == nil {
+			rt.tuples = tupleBufs.Get().(*tupleBuf)
+		}
+		b := rt.tuples
+		b.vals = append(b.vals, args...)
+		b.ends = append(b.ends, len(b.vals))
 		return ir.Value{}, nil
 	case instrument.RTPermute:
 		if rt.driving {
 			return ir.Value{}, errors.New("dcart: rt_iterator_permute while already replaying")
 		}
 		if rt.OnlyContext != "" && ContextOf(fr) != rt.OnlyContext {
-			rt.order = Identity{}.Permute(len(rt.records))
+			rt.order = Identity{}.Permute(rt.tuples.count())
 		} else {
-			rt.order = rt.Schedule.Permute(len(rt.records))
+			rt.order = rt.Schedule.Permute(rt.tuples.count())
 		}
 		rt.cursor = -1
 		rt.driving = true
@@ -180,7 +234,7 @@ func (rt *Runtime) Intrinsic(_ interp.Env, fr *interp.Frame, name string, args [
 			return ir.Value{}, errors.New("dcart: rt_iterator_get outside an iteration")
 		}
 		k := int(args[0].I)
-		tup := rt.records[rt.order[rt.cursor]]
+		tup := rt.tuples.tuple(rt.order[rt.cursor])
 		if k < 0 || k >= len(tup) {
 			return ir.Value{}, fmt.Errorf("dcart: iterator value index %d out of range", k)
 		}
@@ -189,14 +243,24 @@ func (rt *Runtime) Intrinsic(_ interp.Env, fr *interp.Frame, name string, args [
 		if !rt.driving {
 			return ir.Value{}, errors.New("dcart: rt_verify outside an invocation")
 		}
-		rt.Snapshots = append(rt.Snapshots, SnapshotDigest(args))
+		d := SnapshotDigest(&rt.digest, args)
 		if rt.DebugSnapshots {
+			if full := SnapshotDigest(&rt.oracle, args); full != d {
+				return ir.Value{}, fmt.Errorf("%w at invocation %d: incremental %s, full walk %s",
+					ErrDigestDivergence, rt.Invocations+1, d, full)
+			}
 			rt.SnapshotStrings = append(rt.SnapshotStrings, Snapshot(args))
 		}
+		rt.Snapshots = append(rt.Snapshots, d)
 		if rt.TrackContexts {
 			rt.Contexts = append(rt.Contexts, ContextOf(fr))
 		}
-		rt.records = rt.records[:0]
+		if b := rt.tuples; b != nil {
+			clear(b.vals) // pooled buffers must not pin a dead run's heap
+			b.vals, b.ends = b.vals[:0], b.ends[:0]
+			tupleBufs.Put(b)
+			rt.tuples = nil
+		}
 		rt.order = nil
 		rt.driving = false
 		rt.Invocations++

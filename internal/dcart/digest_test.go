@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"dca/internal/dcart"
 	"dca/internal/ir"
@@ -88,7 +89,7 @@ func TestDigestMatchesStringEquality(t *testing.T) {
 	for na, a := range cases {
 		for nb, b := range cases {
 			sEq := dcart.Snapshot(a) == dcart.Snapshot(b)
-			dEq := dcart.SnapshotDigest(a) == dcart.SnapshotDigest(b)
+			dEq := dcart.SnapshotDigest(nil, a) == dcart.SnapshotDigest(nil, b)
 			if sEq != dEq {
 				t.Errorf("%s vs %s: stringEq=%v digestEq=%v\n  a=%s\n  b=%s",
 					na, nb, sEq, dEq, dcart.Snapshot(a), dcart.Snapshot(b))
@@ -100,9 +101,9 @@ func TestDigestMatchesStringEquality(t *testing.T) {
 // TestDigestObservesMutation mirrors TestSnapshotObservesMutation.
 func TestDigestObservesMutation(t *testing.T) {
 	o := ir.NewArrayObject(1, types.IntType, 3)
-	before := dcart.SnapshotDigest([]ir.Value{ir.RefVal(o)})
+	before := dcart.SnapshotDigest(nil, []ir.Value{ir.RefVal(o)})
 	o.Elems[1] = ir.IntVal(7)
-	if before == dcart.SnapshotDigest([]ir.Value{ir.RefVal(o)}) {
+	if before == dcart.SnapshotDigest(nil, []ir.Value{ir.RefVal(o)}) {
 		t.Error("mutation must change the digest")
 	}
 }
@@ -116,7 +117,7 @@ func TestDigestCycleTerminates(t *testing.T) {
 	b := ir.NewStructObject(2, si)
 	a.Elems[0] = ir.RefVal(b)
 	b.Elems[0] = ir.RefVal(a)
-	d := dcart.SnapshotDigest([]ir.Value{ir.RefVal(a)})
+	d := dcart.SnapshotDigest(nil, []ir.Value{ir.RefVal(a)})
 	if d == (dcart.Digest{}) {
 		t.Error("cycle digest should be non-zero")
 	}
@@ -142,7 +143,7 @@ func TestRuntimeDebugSnapshots(t *testing.T) {
 	if rt.SnapshotStrings[0] != "i9;" {
 		t.Errorf("debug string = %q", rt.SnapshotStrings[0])
 	}
-	if rt.Snapshots[0] != dcart.SnapshotDigest([]ir.Value{ir.IntVal(9)}) {
+	if rt.Snapshots[0] != dcart.SnapshotDigest(nil, []ir.Value{ir.IntVal(9)}) {
 		t.Error("digest mismatch vs direct SnapshotDigest")
 	}
 }
@@ -179,12 +180,60 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotDigest times the digest three ways: a fresh full walk
+// of the 1000-object list heap, a full walk of the BFS heap (360 vertices
+// with 48 edges each), and incremental snapshots of that BFS heap after k
+// scalar stores, each reported against the full walk ("x-vs-walk").
 func BenchmarkSnapshotDigest(b *testing.B) {
-	roots := benchRoots()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if (dcart.SnapshotDigest(roots) == dcart.Digest{}) {
-			b.Fatal("zero digest")
+	b.Run("list/walk", func(b *testing.B) {
+		roots := benchRoots()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if (dcart.SnapshotDigest(nil, roots) == dcart.Digest{}) {
+				b.Fatal("zero digest")
+			}
 		}
+	})
+	b.Run("bfs/walk", func(b *testing.B) {
+		roots, _, _ := bfsGraph(360, 48)
+		var d dcart.Digester
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dcart.SnapshotDigest(&d, roots)
+		}
+	})
+	for _, k := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("bfs/incremental-%d-writes", k), func(b *testing.B) {
+			roots, dist, _ := bfsGraph(360, 48)
+			walk := walkNanos(roots)
+			var d dcart.Digester
+			d.ObserveStores()
+			dcart.SnapshotDigest(&d, roots)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < k; j++ {
+					c, v := (i*k+j)%len(dist.Elems), ir.IntVal(int64(i+j))
+					d.OnStore(dist, c, v)
+					dist.Elems[c] = v
+				}
+				dcart.SnapshotDigest(&d, roots)
+			}
+			b.StopTimer()
+			b.ReportMetric(walk*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "x-vs-walk")
+			b.ReportMetric(float64(d.Walks()-1)/float64(b.N), "walks/op")
+		})
 	}
+}
+
+// walkNanos is the mean cost of a full-walk digest of roots.
+func walkNanos(roots []ir.Value) float64 {
+	var d dcart.Digester
+	dcart.SnapshotDigest(&d, roots)
+	const n = 20
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		dcart.SnapshotDigest(&d, roots)
+	}
+	return float64(time.Since(start).Nanoseconds()) / n
 }

@@ -16,6 +16,10 @@
 //     privatization scheme — the end-to-end oracle that closes the loop
 //     with internal/parallel. Divergence fails hard.
 //
+// Every analysis runs with DebugSnapshots, so each live-out snapshot of
+// every golden run and replay also checks the incremental digest against
+// a full walk of the same graph; a mismatch fails hard as well.
+//
 // Disagreements are shrunk by the fuzzgen minimizer and persisted into the
 // regression corpus (internal/fuzzgen/corpus), deduplicated by loop
 // fingerprint; the corpus replays in ordinary `go test` runs.
@@ -101,6 +105,11 @@ const (
 	// cannot both be right; either way the prover is unsound and the
 	// campaign fails hard.
 	KindProverDiv = "prover-divergence"
+	// KindDigestDiv: an incremental live-out digest disagreed with a full
+	// walk of the same graph (dcart.ErrDigestDivergence) — a store the
+	// digest did not see, or a wrong O(1) update. Either would let a
+	// changed live-out pass as unchanged, so the campaign fails hard.
+	KindDigestDiv = "digest-divergence"
 )
 
 // Violation is one hard disagreement in a checked program.
@@ -192,9 +201,10 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 	}
 
 	rep, err := core.Analyze(prog, core.Options{
-		Schedules: opt.Schedules,
-		MaxSteps:  opt.MaxSteps,
-		Timeout:   opt.Timeout,
+		Schedules:      opt.Schedules,
+		MaxSteps:       opt.MaxSteps,
+		Timeout:        opt.Timeout,
+		DebugSnapshots: true,
 	})
 	if err != nil {
 		res.Trapped = true
@@ -207,7 +217,16 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 	for _, lr := range rep.Loops {
 		out := LoopOutcome{Fn: lr.Fn, Index: lr.Index, Verdict: lr.Verdict, Reason: lr.Reason,
 			Proved: lr.Provenance == core.ProvenanceProved}
-		if label, ok := labels[lr.Fn]; ok {
+		// Cross-check 5: incremental vs full-walk digests. The verdict of
+		// a loop whose run the check failed says nothing about the label.
+		digestDiv := digestDiverged(lr.Reason)
+		if digestDiv {
+			res.Violations = append(res.Violations, Violation{
+				Kind: KindDigestDiv, Fn: lr.Fn, Index: lr.Index, Verdict: lr.Verdict.String(),
+				Detail: lr.Reason,
+			})
+		}
+		if label, ok := labels[lr.Fn]; ok && !digestDiv {
 			out.Labeled = true
 			out.Label = label
 			// Cross-check 1: verdict vs. ground truth. Only the two
@@ -251,10 +270,11 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 	}
 	if anyProved {
 		dyn, err := core.Analyze(prog, core.Options{
-			Schedules: opt.Schedules,
-			MaxSteps:  opt.MaxSteps,
-			Timeout:   opt.Timeout,
-			NoProve:   true,
+			Schedules:      opt.Schedules,
+			MaxSteps:       opt.MaxSteps,
+			Timeout:        opt.Timeout,
+			NoProve:        true,
+			DebugSnapshots: true,
 		})
 		if err == nil {
 			for _, out := range res.Loops {
@@ -262,7 +282,12 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 					continue
 				}
 				dr := dyn.Result(out.Fn, out.Index)
-				if dr != nil && dr.Verdict == core.NonCommutative {
+				if dr != nil && digestDiverged(dr.Reason) {
+					res.Violations = append(res.Violations, Violation{
+						Kind: KindDigestDiv, Fn: out.Fn, Index: out.Index, Label: out.Label,
+						Verdict: dr.Verdict.String(), Detail: dr.Reason,
+					})
+				} else if dr != nil && dr.Verdict == core.NonCommutative {
 					res.Violations = append(res.Violations, Violation{
 						Kind: KindProverDiv, Fn: out.Fn, Index: out.Index, Label: out.Label,
 						Verdict: out.Verdict.String(),
@@ -291,6 +316,12 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 		runBaselines(prog, opt, res)
 	}
 	return res
+}
+
+// digestDiverged reports a loop whose golden run or replay failed the
+// DebugSnapshots cross-check of incremental against full-walk digests.
+func digestDiverged(reason string) bool {
+	return strings.Contains(reason, dcart.ErrDigestDivergence.Error())
 }
 
 // execOutcome captures one executor's complete observable behaviour on a
@@ -524,6 +555,7 @@ type Stats struct {
 	ParallelDivergences int                      `json:"parallel_divergences"`
 	ExecDivergences     int                      `json:"exec_divergences"`
 	ProverDivergences   int                      `json:"prover_divergences"`
+	DigestDivergences   int                      `json:"digest_divergences"`
 	Baselines           map[string]*BaselineStat `json:"baselines,omitempty"`
 	Seconds             float64                  `json:"seconds"`
 	ProgramsPerSec      float64                  `json:"programs_per_sec"`
@@ -534,7 +566,7 @@ type Stats struct {
 // Violations returns the total hard-failure count.
 func (s *Stats) ViolationCount() int {
 	return s.SoundnessViolations + s.LabelViolations + s.ParallelDivergences +
-		s.ExecDivergences + s.ProverDivergences
+		s.ExecDivergences + s.ProverDivergences + s.DigestDivergences
 }
 
 // Failure is one campaign disagreement after minimization.
@@ -646,6 +678,8 @@ func mergeStats(s *Stats, res *Result) {
 			s.ExecDivergences++
 		case KindProverDiv:
 			s.ProverDivergences++
+		case KindDigestDiv:
+			s.DigestDivergences++
 		}
 	}
 	if res.Trapped {

@@ -1,10 +1,11 @@
 // Package fuzzgen is a seeded, deterministic MiniC loop-nest generator
 // with ground-truth commutativity labels. It composes iterator shapes
 // (counted range up/down, linked-list walk, worklist indirection, nested
-// range) with payload effects (pure, scalar reductions, disjoint/affine
-// array writes, aliased writes, order-dependent folds and outputs) where
-// every production carries a label — commutative, non-commutative, or
-// unknown — established by construction, not by running any analyzer.
+// range, a list walk nested in a range over one shared list) with payload
+// effects (pure, scalar reductions, disjoint/affine array writes, aliased
+// writes, order-dependent folds and outputs) where every production
+// carries a label — commutative, non-commutative, or unknown — established
+// by construction, not by running any analyzer.
 //
 // The generator exists to test the analyzers, so its determinism contract
 // is strict: the same seed yields the same Program spec and the same
@@ -64,10 +65,18 @@ const (
 	// IterNested: a two-level range nest over a flattened r*c array; the
 	// loop function contains two labeled loops (outer and inner).
 	IterNested
+	// IterSharedList: for (r = 0; r < Trip; r++) { p = head; while (p !=
+	// nil) { ...; p = p->next; } } — the inner list walk runs once per
+	// outer iteration over one list of Inner nodes that every invocation
+	// shares, and adds into shared arrays. The inner loop's live-outs keep
+	// the whole list reachable while each invocation stores only scalars,
+	// which is the incremental live-out digest's fast path. Histogram
+	// payload only; both loops carry its label.
+	IterSharedList
 	numIterShapes
 )
 
-var iterNames = [...]string{"range", "range_down", "list", "worklist", "nested"}
+var iterNames = [...]string{"range", "range_down", "list", "worklist", "nested", "shared_list"}
 
 func (s IterShape) String() string { return iterNames[s] }
 
@@ -199,10 +208,13 @@ func (l *LoopSpec) ParallelSafe() bool {
 }
 
 // Elements returns the number of array elements / list nodes the loop
-// touches (Trip, or Trip*Inner for nests).
+// touches (Trip, Trip*Inner for nests, Inner for the shared list).
 func (l *LoopSpec) Elements() int {
-	if l.Iter == IterNested {
+	switch l.Iter {
+	case IterNested:
 		return l.Trip * l.Inner
+	case IterSharedList:
+		return l.Inner
 	}
 	return l.Trip
 }
@@ -282,6 +294,8 @@ func compatible(it IterShape, pay PayloadKind) bool {
 		return false
 	case IterRangeDown, IterWorklist:
 		return pay != PayRecurrence
+	case IterSharedList:
+		return pay == PayHistogram
 	}
 	return true
 }
@@ -330,7 +344,7 @@ func New(seed int64) *Program {
 		var it IterShape
 		var pay PayloadKind
 		for {
-			it = IterShape(r.intn(int(numIterShapes)))
+			it = IterShape(r.intn(int(IterSharedList)))
 			pay = PayloadKind(r.intn(int(numPayloadKinds)))
 			if compatible(it, pay) {
 				break
@@ -373,6 +387,20 @@ func New(seed int64) *Program {
 			spec.Stride = coprime(spec.Elements(), r)
 		}
 		p.Loops = append(p.Loops, spec)
+	}
+	// The shared-list production is drawn after the others, so a seed's
+	// other loops do not depend on whether it is present.
+	if r.intn(4) == 0 {
+		p.Loops = append(p.Loops, LoopSpec{
+			Seq:     nLoops,
+			Iter:    IterSharedList,
+			Payload: PayHistogram,
+			Trip:    r.rangeInt(minTrip(PayHistogram), 6),
+			Inner:   r.rangeInt(2, 24),
+			Mod:     r.rangeInt(2, 8),
+			K1:      r.rangeInt(2, 9),
+			K2:      r.rangeInt(1, 9),
+		})
 	}
 	return p
 }

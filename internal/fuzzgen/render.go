@@ -17,7 +17,7 @@ func (p *Program) Render() string {
 	needNode := false
 	for i := range p.Loops {
 		l := &p.Loops[i]
-		if l.Iter == IterList {
+		if l.Iter == IterList || l.Iter == IterSharedList {
 			needNode = true
 		}
 		r := renderLoop(l)
@@ -245,6 +245,25 @@ func renderLoop(l *LoopSpec) rendered {
 			listPayloadStmts(l, "\t\t"))
 		r.consume += fmt.Sprintf("\tvar p%d *FzNode = %s;\n\twhile (p%d != nil) { check += p%d->val; p%d = p%d->next; }\n",
 			s, hd, s, s, s, s)
+	case IterSharedList:
+		// The histogram storage comes from the payload's needs; the
+		// per-node array and the shared list are this shape's own.
+		hd, cells := fmt.Sprintf("hd%d", s), fmt.Sprintf("a%d", s)
+		r.setup += fmt.Sprintf("\tvar %s *FzNode = nil;\n", hd)
+		r.setup += fmt.Sprintf("\tfor (var j%d int = 0; j%d < %d; j%d++) {\n"+
+			"\t\tvar nd%d *FzNode = new FzNode;\n\t\tnd%d->val = j%d;\n\t\tnd%d->next = %s;\n\t\t%s = nd%d;\n\t}\n",
+			s, s, n, s, s, s, s, s, hd, hd, s)
+		r.setup += fmt.Sprintf("\tvar %s []int = new [%d]int;\n", cells, n)
+		params = append([]string{"head *FzNode", "a []int"}, params...)
+		args = append([]string{hd, cells}, args...)
+		params = append(params, "rounds int")
+		args = append(args, fmt.Sprint(l.Trip))
+		body = fmt.Sprintf("\tfor (var r int = 0; r < rounds; r++) {\n"+
+			"\t\tvar p *FzNode = head;\n\t\twhile (p != nil) {\n"+
+			"\t\t\ta[p->val] += r * %d + 1;\n\t\t\th[p->val %% %d] += r + %d;\n\t\t\tp = p->next;\n\t\t}\n\t}\n",
+			l.K1, l.Mod, l.K2)
+		r.consume += fmt.Sprintf("\tfor (var qa%d int = 0; qa%d < %d; qa%d++) { check += %s[qa%d]; }\n",
+			s, s, n, s, cells, s)
 	default:
 		panic(fmt.Sprintf("fuzzgen: unrendered iterator %v", l.Iter))
 	}

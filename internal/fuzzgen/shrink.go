@@ -62,7 +62,7 @@ func Minimize(p *Program, keep func(*Program) bool, maxChecks int) *Program {
 					}
 				}
 			}
-			if l.Iter == IterNested && l.Inner > 2 {
+			if (l.Iter == IterNested || l.Iter == IterSharedList) && l.Inner > 2 {
 				cand := cur.clone()
 				cand.Loops[i].Inner = 2
 				cand.Loops[i].normalize()

@@ -99,6 +99,20 @@ type Runtime interface {
 	Intrinsic(env Env, fr *Frame, name string, args []ir.Value) (ir.Value, error)
 }
 
+// StoreObserver is an optional Runtime extension for runtimes that keep
+// state derived from the heap between intrinsic calls (the DCA runtime's
+// incremental live-out digest). An executor whose Config.Runtime implements
+// it calls ObserveStores once, before the first instruction. From then on,
+// before every heap store, it reads the returned flag and, while the flag
+// is true, calls OnStore just before obj.Elems[idx] is overwritten with v;
+// the runtime clears the flag while it needs no stores. A runtime never
+// told ObserveStores (a wrapped runtime, a foreign executor) must assume
+// stores it does not see.
+type StoreObserver interface {
+	ObserveStores() (want *bool)
+	OnStore(obj *ir.Object, idx int, v ir.Value)
+}
+
 // Config controls one execution.
 type Config struct {
 	Out         io.Writer // print destination; nil discards
@@ -146,7 +160,9 @@ type Interp struct {
 	nextID   int64
 	outBytes int64
 	blockCt  map[*ir.Block]int64
-	printBuf []byte // reusable scratch for Print formatting
+	printBuf []byte        // reusable scratch for Print formatting
+	stores   StoreObserver // the Runtime, when it observes heap stores
+	wantSt   *bool         // stores' flag: OnStore only while true
 }
 
 // New creates an interpreter for prog.
@@ -156,6 +172,9 @@ func New(prog *ir.Program, cfg Config) *Interp {
 		max = 1_000_000_000
 	}
 	it := &Interp{prog: prog, cfg: cfg, max: max}
+	if so, ok := cfg.Runtime.(StoreObserver); ok {
+		it.stores, it.wantSt = so, so.ObserveStores()
+	}
 	if cfg.CountBlocks {
 		it.blockCt = map[*ir.Block]int64{}
 	}
@@ -360,6 +379,9 @@ func (it *Interp) step(fr *Frame, b *ir.Block, in ir.Instr) error {
 		v := it.operand(fr, i.Src)
 		if it.cfg.Footprint != nil && it.cfg.Footprint.Active() {
 			it.cfg.Footprint.OnStore(obj, idx, v.Equal(obj.Elems[idx]))
+		}
+		if it.stores != nil && *it.wantSt {
+			it.stores.OnStore(obj, idx, v)
 		}
 		obj.Elems[idx] = v
 	case *ir.Alloc:

@@ -60,11 +60,13 @@ func Supported(cfg interp.Config) bool {
 // Machine executes one program. Not safe for concurrent use; distinct
 // machines may share the program's compiled code freely.
 type Machine struct {
-	code *progCode
-	out  io.Writer
-	rt   interp.Runtime
-	fp   *interp.Footprint
-	ctx  context.Context
+	code   *progCode
+	out    io.Writer
+	rt     interp.Runtime
+	stores interp.StoreObserver // rt, when it observes heap stores
+	wantSt *bool                // stores' flag: OnStore only while true
+	fp     *interp.Footprint
+	ctx    context.Context
 
 	steps    int64
 	maxSteps int64
@@ -116,6 +118,9 @@ func New(prog *ir.Program, cfg interp.Config) *Machine {
 		heap:     m.heap,
 		printBuf: m.printBuf,
 		argBuf:   m.argBuf,
+	}
+	if so, ok := cfg.Runtime.(interp.StoreObserver); ok {
+		m.stores, m.wantSt = so, so.ObserveStores()
 	}
 	if cfg.CountBlocks {
 		m.blockCt = map[*ir.Block]int64{}
@@ -449,6 +454,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			v := get(regs, consts, in.c)
 			if m.fp != nil && m.fp.Active() {
 				m.fp.OnStore(obj, idx, v.Equal(obj.Elems[idx]))
+			}
+			if m.stores != nil && *m.wantSt {
+				m.stores.OnStore(obj, idx, v)
 			}
 			obj.Elems[idx] = v
 			pc++
