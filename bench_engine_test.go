@@ -96,11 +96,11 @@ func BenchmarkSuiteVM(b *testing.B) {
 			b.Fatalf("VM suite diverged from tree-walker:\nvm TableI:\n%s\nno-vm TableI:\n%s",
 				vmSuite.TableI(), noSuite.TableI())
 		}
-		stop, fp := vmSuite.SkippedReplays()
+		fp := vmSuite.SkippedReplays()
 		static, golden, replay := vmSuite.StageSeconds()
 		speedup := noDur.Seconds() / vmDur.Seconds()
-		fmt.Fprintf(os.Stderr, "vm: %.2fs vs interp %.2fs (%.2fx); stages static %.2fs golden %.2fs replay %.2fs; skipped stop %d footprint %d; replays %d vs %d\n",
-			vmDur.Seconds(), noDur.Seconds(), speedup, static, golden, replay, stop, fp, vmSuite.Replays(), noSuite.Replays())
+		fmt.Fprintf(os.Stderr, "vm: %.2fs vs interp %.2fs (%.2fx); stages static %.2fs golden %.2fs replay %.2fs; skipped footprint %d; replays %d vs %d\n",
+			vmDur.Seconds(), noDur.Seconds(), speedup, static, golden, replay, fp, vmSuite.Replays(), noSuite.Replays())
 		b.ReportMetric(speedup, "speedup-vs-interp")
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"dca/internal/depprof"
 	"dca/internal/discopop"
 	"dca/internal/engine"
-	"dca/internal/fingerprint"
 	"dca/internal/icc"
 	"dca/internal/idioms"
 	"dca/internal/instrument"
@@ -137,7 +136,7 @@ func usage() {
 commands:
   analyze [-j n] [-baselines] [-schedules n] [-timeout d] [-max-steps n]
           [-retry n] [-no-prescreen] [-debug-snapshots] [-json]
-          [-stop-after n] [-no-footprint] [-no-prove] [-no-vm]
+          [-no-footprint] [-no-prove] [-no-vm]
           [-journal run.wal] [-resume] [-journal-sync n]
           [-trace out.jsonl] [-cache-dir d] [-cache-mem bytes] [-no-cache]
           [-inject-kind k -inject-at-step n|-inject-at-intrinsic n
@@ -194,7 +193,6 @@ func cmdAnalyze(args []string) error {
 	syncEvery := fs.Int("journal-sync", 0, "journal fsync batch size (0 = default, 1 = every record)")
 	tracePath := fs.String("trace", "", "append per-loop trace events to this JSONL file")
 	debugSnapshots := fs.Bool("debug-snapshots", false, "keep string snapshots for mismatch diagnosis and check every incremental digest against a full walk")
-	stopAfter := fs.Int("stop-after", 0, "stop replaying after this many consecutive agreeing schedules (0 = test all)")
 	noFootprint := fs.Bool("no-footprint", false, "disable the footprint fast path (always run schedule replays)")
 	noProve := fs.Bool("no-prove", false, "disable the static commutativity prover (every verdict comes from the dynamic stage)")
 	noVM := fs.Bool("no-vm", false, "execute with the tree-walking interpreter instead of the bytecode VM")
@@ -240,7 +238,6 @@ func cmdAnalyze(args []string) error {
 		InjectFn:       *injectFn,
 		InjectLoop:     *injectLoop,
 		DebugSnapshots: *debugSnapshots,
-		StopAfter:      *stopAfter,
 		NoFootprint:    *noFootprint,
 		NoProve:        *noProve,
 	}
@@ -279,32 +276,23 @@ func cmdAnalyze(args []string) error {
 			diskCache.SetTrace(traceSink)
 		}
 	}
-	eopt := engine.Options{Core: opts, Workers: *jobs, NoPrescreen: *noPrescreen}
 	var jnl *journal.Journal
 	if *journalPath != "" {
 		// The run key ties the journal to this program and configuration:
 		// a journal from a different source file or schedule set is
 		// discarded on open, never replayed into wrong verdicts.
-		runKey := fingerprint.Run(prog, fingerprint.Inputs{
-			Schedules:      scheds,
-			Limits:         sandbox.Limits{MaxSteps: *maxSteps, Timeout: *timeout},
-			Retries:        *retry,
-			DebugSnapshots: *debugSnapshots,
-			StopAfter:      *stopAfter,
-			NoFootprint:    *noFootprint,
-			NoProve:        *noProve,
-		}).String()
-		j, rec, err := journal.Open(*journalPath, runKey, journal.Options{
+		j, rec, err := journal.Open(*journalPath, core.RunKey(prog, opts), journal.Options{
 			Version:   core.CacheRecordVersion,
 			SyncEvery: *syncEvery,
 			Resume:    *resume,
+			Trace:     opts.Trace,
 		})
 		if err != nil {
 			return fmt.Errorf("analyze: %w", err)
 		}
 		defer j.Close()
 		jnl = j
-		eopt.Journal = journalSink{j}
+		opts.Journal = j
 		if *resume {
 			if rec.Discarded != "" {
 				fmt.Fprintf(os.Stderr, "dca: journal discarded (%s); starting fresh\n", rec.Discarded)
@@ -313,20 +301,13 @@ func cmdAnalyze(args []string) error {
 				fmt.Fprintf(os.Stderr, "dca: journal: dropped %d torn trailing bytes\n", rec.TornBytes)
 			}
 		}
-		if len(rec.Records) > 0 {
-			eopt.Resume = make(map[engine.LoopKey][]byte, len(rec.Records))
-			for _, r := range rec.Records {
-				// Append order; a duplicate loop keeps the latest record.
-				eopt.Resume[engine.LoopKey{Fn: r.Fn, Index: r.Index}] = []byte(r.Data)
-			}
-		}
 	}
 	// The analysis is scoped to the process signals: Ctrl-C stops replays
 	// promptly instead of waiting out their budgets.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	start := time.Now()
-	rep, err := engine.Analyze(ctx, prog, eopt)
+	rep, err := engine.Analyze(ctx, prog, engine.Options{Core: opts, Workers: *jobs, NoPrescreen: *noPrescreen})
 	if err != nil {
 		return err
 	}
@@ -421,14 +402,6 @@ func printStatic(prog *ir.Program, verdict func(fn string, idx int) (bool, []str
 			fmt.Printf("%s/L%d: %s\n", l.Fn, l.Index, status)
 		}
 	}
-}
-
-// journalSink adapts *journal.Journal to the engine's JournalSink, keeping
-// the engine decoupled from the journal package.
-type journalSink struct{ j *journal.Journal }
-
-func (s journalSink) Record(fn string, index int, data []byte) error {
-	return s.j.Append(fn, index, data)
 }
 
 // parseInjectKind maps a -inject-kind flag value to a sandbox trap kind.

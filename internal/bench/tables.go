@@ -90,15 +90,14 @@ func (s *Suite) Replays() int {
 	return n
 }
 
-// SkippedReplays sums the schedule replays the suite's DCA runs avoided,
-// split by mechanism (sequential stopping rule vs footprint fast path).
-func (s *Suite) SkippedReplays() (stop, footprint int) {
+// SkippedReplays sums the schedule replays the footprint fast path spared
+// the suite's DCA runs.
+func (s *Suite) SkippedReplays() int {
+	n := 0
 	for _, r := range s.Results {
-		st, fp := r.DCA.SkippedReplays()
-		stop += st
-		footprint += fp
+		n += r.DCA.SkippedReplays()
 	}
-	return stop, footprint
+	return n
 }
 
 // ProvedLoops counts the loops across the suite whose verdicts the static

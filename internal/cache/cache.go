@@ -209,9 +209,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.moveToFront(e)
+		val := e.val // read under the lock: a concurrent Put rewrites e.val
 		c.mu.Unlock()
 		c.memHits.Add(1)
-		return e.val, true
+		return val, true
 	}
 	c.mu.Unlock()
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"strconv"
 
 	"dca/internal/fingerprint"
 	"dca/internal/instrument"
@@ -28,9 +29,9 @@ const (
 	// ProvenanceCached: the dynamic-stage outcome was served from the
 	// verdict cache; no golden run or replay executed.
 	ProvenanceCached = "cached"
-	// ProvenanceJournaled: the whole loop outcome was replayed from a
-	// write-ahead run journal (`dca analyze -resume`); neither the static
-	// nor the dynamic stage ran in this process.
+	// ProvenanceJournaled: the whole loop outcome was served from the run
+	// journal tier (Options.Journal, `dca analyze -resume`); neither the
+	// static nor the dynamic stage ran in this process.
 	ProvenanceJournaled = "journaled"
 	// ProvenanceFootprint: the golden run proved the loop's iterations
 	// touch pairwise-disjoint heap cells, so the Commutative verdict was
@@ -42,11 +43,16 @@ const (
 	ProvenanceProved = "static-proved"
 )
 
-// VerdictCache is the incremental-analysis store consulted before each
-// loop's dynamic stage. Keys are loop-analysis fingerprints
-// (internal/fingerprint), values are serialized verdict records; both
-// methods must be safe for concurrent use. internal/cache provides the
-// two-tier production implementation.
+// VerdictCache is a verdict store the per-loop kernel consults. Values are
+// serialized verdict records (CacheRecordVersion); both methods must be
+// safe for concurrent use. It backs two tiers:
+//
+//   - Options.Cache, consulted before the dynamic stage, keyed by
+//     loop-analysis fingerprints (internal/fingerprint). internal/cache
+//     provides the two-tier production implementation.
+//   - Options.Journal, consulted before everything else, keyed by
+//     JournalKey within one run (RunKey). internal/journal provides the
+//     write-ahead production implementation.
 type VerdictCache interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, val []byte)
@@ -68,25 +74,46 @@ type cachedVerdict struct {
 	// A footprint-proved record keeps its SkippedFootprint count so warm
 	// runs still report how much replay work the proof avoided; likewise a
 	// static-proved record keeps SkippedProve (the skipped replays).
-	SkippedStop      int `json:"skipped_stop,omitempty"`
 	SkippedFootprint int `json:"skipped_footprint,omitempty"`
 	SkippedProve     int `json:"skipped_prove,omitempty"`
 }
 
-// loopKey fingerprints one loop analysis under the active options.
-func loopKey(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instrumented, opt *Options) string {
-	return fingerprint.Loop(prog, fnName, loopIndex, inst, fingerprint.Inputs{
-		Schedules:      opt.Schedules,
-		Limits:         opt.Limits(),
-		Retries:        opt.Retries,
-		DebugSnapshots: opt.DebugSnapshots,
-		StopAfter:      opt.StopAfter,
-		NoFootprint:    opt.NoFootprint,
-		NoProve:        opt.NoProve,
-	}).String()
+// fingerprintInputs is the one mapping from analysis options to the
+// fingerprinted configuration; loop keys and run keys both use it.
+func (o *Options) fingerprintInputs() fingerprint.Inputs {
+	return fingerprint.Inputs{
+		Schedules:      o.Schedules,
+		Limits:         o.Limits(),
+		Retries:        o.Retries,
+		DebugSnapshots: o.DebugSnapshots,
+		NoFootprint:    o.NoFootprint,
+		NoProve:        o.NoProve,
+	}
 }
 
-// encodeCachedVerdict serializes a freshly computed dynamic-stage outcome.
+// loopKey fingerprints one loop analysis under the active options.
+func loopKey(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instrumented, opt *Options) string {
+	return fingerprint.Loop(prog, fnName, loopIndex, inst, opt.fingerprintInputs()).String()
+}
+
+// RunKey fingerprints a whole analysis run — the program plus every option
+// that can reach a verdict, after defaults are filled in — and names the
+// run journal a resume may replay. Two runs with equal keys analyze the
+// same loops under the same configuration, so one's journaled verdicts are
+// valid answers in the other.
+func RunKey(prog *ir.Program, opt Options) string {
+	opt.normalize()
+	return fingerprint.Run(prog, opt.fingerprintInputs()).String()
+}
+
+// JournalKey is a loop's key in the run journal tier: the run key already
+// names the program and configuration, so (fn, index) identifies the loop.
+func JournalKey(fn string, index int) string {
+	return fn + "#" + strconv.Itoa(index)
+}
+
+// encodeCachedVerdict serializes a loop outcome in the verdict-record
+// schema both tiers (Options.Cache and Options.Journal) store.
 func encodeCachedVerdict(res *LoopResult) []byte {
 	data, err := json.Marshal(cachedVerdict{
 		Verdict:          res.Verdict,
@@ -96,7 +123,6 @@ func encodeCachedVerdict(res *LoopResult) []byte {
 		SchedulesTested:  res.SchedulesTested,
 		Retries:          res.Retries,
 		TrapKind:         res.TrapKind,
-		SkippedStop:      res.SkippedStop,
 		SkippedFootprint: res.SkippedFootprint,
 		SkippedProve:     res.SkippedProve,
 	})
@@ -130,30 +156,9 @@ func decodeCachedVerdict(data []byte, res *LoopResult) bool {
 	res.SchedulesTested = cv.SchedulesTested
 	res.Retries = cv.Retries
 	res.TrapKind = cv.TrapKind
-	res.SkippedStop = cv.SkippedStop
 	res.SkippedFootprint = cv.SkippedFootprint
 	res.SkippedProve = cv.SkippedProve
 	return true
-}
-
-// EncodeLoopRecord serializes a completed loop outcome in the shared
-// verdict-record schema (CacheRecordVersion) — the payload format of both
-// the verdict cache and the write-ahead run journal. Returns nil for a
-// result that must not be persisted.
-func EncodeLoopRecord(res *LoopResult) []byte {
-	if res.Verdict == Cancelled {
-		// A cancelled loop is a statement about the caller's context, not
-		// the program; persisting it would resume into a hole.
-		return nil
-	}
-	return encodeCachedVerdict(res)
-}
-
-// DecodeLoopRecord restores a persisted loop outcome into res, reporting
-// false — and leaving res untouched, usable for a fresh computation — when
-// the record does not decode to a plausible verdict.
-func DecodeLoopRecord(data []byte, res *LoopResult) bool {
-	return decodeCachedVerdict(data, res)
 }
 
 // cacheableVerdict reports whether a computed outcome may be stored.

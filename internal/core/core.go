@@ -94,8 +94,8 @@ type LoopResult struct {
 	// (doubled-budget retries are tracked separately in Retries). A cached
 	// outcome consumes none.
 	Replays int
-	// SkippedStop counts schedule replays the sequential stopping rule
-	// (Options.StopAfter) skipped after enough consecutive agreements.
+	// SkippedStop is always 0: no mechanism skips replays by stopping
+	// early. It stays only because benchmark readers still total it.
 	SkippedStop int
 	// SkippedFootprint counts schedule replays the footprint fast path
 	// skipped: the golden run proved the loop's iterations touch disjoint
@@ -156,15 +156,14 @@ func (r *Report) Replays() int {
 	return n
 }
 
-// SkippedReplays totals the schedule replays the analysis did not run,
-// split by mechanism: the sequential stopping rule and the footprint fast
-// path.
-func (r *Report) SkippedReplays() (stop, footprint int) {
+// SkippedReplays totals the schedule replays the footprint fast path
+// skipped.
+func (r *Report) SkippedReplays() int {
+	n := 0
 	for _, l := range r.Loops {
-		stop += l.SkippedStop
-		footprint += l.SkippedFootprint
+		n += l.SkippedFootprint
 	}
-	return stop, footprint
+	return n
 }
 
 // StageSeconds totals the per-loop stage durations across the report:
@@ -262,12 +261,6 @@ type Options struct {
 	// retried at a doubled budget before the loop degrades to
 	// ResourceExhausted. Default 1; negative disables retries.
 	Retries int
-	// StopAfter, when positive, is the sequential stopping rule: once
-	// StopAfter consecutive schedules agree with the golden run, the
-	// remaining schedules are skipped and the loop reports Commutative.
-	// It trades evidence for time — a skipped schedule could have diverged —
-	// so it participates in the verdict fingerprint. 0 tests every schedule.
-	StopAfter int
 	// NoFootprint disables the footprint fast path. By default the golden
 	// run records every heap cell each iteration reads and writes; when the
 	// per-iteration footprints are pairwise disjoint, reordering iterations
@@ -310,6 +303,14 @@ type Options struct {
 	// injection bypasses the cache entirely. See internal/fingerprint for
 	// the key contract and internal/cache for the production store.
 	Cache VerdictCache
+	// Journal, when non-nil, is the run-scoped tier: consulted before
+	// anything else in each loop's analysis under JournalKey, and handed
+	// every final outcome except Cancelled. A hit skips both stages and
+	// reports ProvenanceJournaled; a resumed loop is not recorded again.
+	// The caller scopes it to one run (RunKey) — internal/journal checks
+	// the run key on open — so it is not part of any fingerprint. Armed
+	// fault injection bypasses it for the whole run, in both directions.
+	Journal VerdictCache
 	// Trace, when non-nil, receives one structured event per stage of
 	// every loop's analysis lifecycle (static outcome, prescreen skip,
 	// cache lookup, golden run, each schedule replay, final verdict) plus
@@ -518,6 +519,10 @@ func sequentialExecutor(_ int, runOne func(i int) ScheduleOutcome) func(i int) S
 //     NotSeparable, same as sequentially — but the golden run and every
 //     replay are skipped and the loop short-circuits to NotExecuted.
 //   - exec chooses how schedule replays execute (nil = sequential).
+//   - opt.Journal, the run-scoped tier, is looked up before the
+//     cancellation check and the static stage, and records the final
+//     outcome after panic recovery, so static-stage, timeout and panic
+//     outcomes are journaled too; only Cancelled is not.
 func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *cfg.Loop, pur *purity.Info, opt Options, refOut string, res *LoopResult, prescreened bool, exec ScheduleExecutor) {
 	start := time.Now()
 	// Registered first so it runs last: the verdict event carries whatever
@@ -529,6 +534,30 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 			Provenance: res.Provenance, Retries: res.Retries,
 			DurationMS: float64(res.Elapsed) / float64(time.Millisecond)})
 	}()
+
+	// --- Run journal: a loop a previous run of this configuration already
+	// verdicted is served whole. Armed fault injection bypasses the journal
+	// run-wide in both directions: injected traps are harness behaviour, not
+	// reusable analysis results. A record that does not decode degrades to
+	// a fresh analysis.
+	if journal := opt.Journal; journal != nil && !opt.InjectionEnabled() {
+		jkey := JournalKey(res.Fn, res.Index)
+		if data, ok := journal.Get(jkey); ok && decodeCachedVerdict(data, res) {
+			res.Provenance = ProvenanceJournaled
+			opt.emit(obs.Event{Stage: obs.StageJournal, Fn: res.Fn, LoopID: res.ID, Outcome: obs.OutcomeHit})
+			return
+		}
+		// Registered before the panic recovery below, so it runs after it
+		// and records whatever outcome the recovery settled on.
+		defer func() {
+			if res.Verdict != Cancelled {
+				if data := encodeCachedVerdict(res); data != nil {
+					journal.Put(jkey, data)
+				}
+			}
+		}()
+	}
+
 	// A panic anywhere in this loop's static or dynamic stage (including
 	// instrumentation) marks the loop Failed; the suite run continues.
 	defer func() {
@@ -822,13 +851,6 @@ func dynamicStage(ctx context.Context, inst *instrument.Instrumented, optp *Opti
 			return
 		}
 		res.SchedulesTested++
-		// Sequential stopping rule: enough consecutive agreements, stop
-		// paying for more evidence. (Any disagreement returns above, so
-		// SchedulesTested is exactly the current agreement streak.)
-		if opt.StopAfter > 0 && res.SchedulesTested >= opt.StopAfter && i+1 < len(scheds) {
-			res.SkippedStop = len(scheds) - (i + 1)
-			break
-		}
 	}
 	res.Verdict = Commutative
 }

@@ -25,11 +25,11 @@ type LoopJSON struct {
 	SchedulesTested int    `json:"schedules_tested"`
 	Retries         int    `json:"retries,omitempty"`
 	Replays         int    `json:"replays"`
-	// SkippedStop / SkippedFootprint count schedule replays not run thanks
-	// to the sequential stopping rule and the footprint fast path;
-	// SkippedProve counts the schedule replays the static commutativity
-	// prover skipped (the golden run still executes as the coverage
-	// witness).
+	// SkippedFootprint counts schedule replays the footprint fast path
+	// skipped; SkippedProve counts the schedule replays the static
+	// commutativity prover skipped (the golden run still executes as the
+	// coverage witness). SkippedStop is always 0, so it is always omitted;
+	// it stays only because benchmark readers still total it.
 	SkippedStop      int     `json:"skipped_stop,omitempty"`
 	SkippedFootprint int     `json:"skipped_footprint,omitempty"`
 	SkippedProve     int     `json:"skipped_prove,omitempty"`
@@ -54,20 +54,38 @@ type ReportJSON struct {
 // whole-analysis wall-clock time (0 leaves the field to the per-loop sums'
 // readers).
 func (r *Report) JSON(elapsed time.Duration) *ReportJSON {
+	loops := make([]LoopJSON, 0, len(r.Loops))
+	for _, l := range r.Loops {
+		loops = append(loops, l.JSON())
+	}
+	return ReportFromLoops(loops, elapsed)
+}
+
+// ReportFromLoops assembles a report from its loops in report order,
+// computing the summary and every total from the rows alone. A single
+// engine and the fleet's merge both build their reports here, so the two
+// can never disagree about a total.
+func ReportFromLoops(loops []LoopJSON, elapsed time.Duration) *ReportJSON {
 	rep := &ReportJSON{
-		Loops:          make([]LoopJSON, 0, len(r.Loops)),
+		Loops:          loops,
 		Summary:        map[string]int{},
-		TotalLoops:     len(r.Loops),
-		Commutative:    r.Count(Commutative),
-		CachedLoops:    r.CachedLoops(),
-		ResumedLoops:   r.ResumedLoops(),
-		ProvedLoops:    r.ProvedLoops(),
-		Replays:        r.Replays(),
+		TotalLoops:     len(loops),
 		ElapsedSeconds: elapsed.Seconds(),
 	}
-	for _, l := range r.Loops {
-		rep.Summary[l.Verdict.String()]++
-		rep.Loops = append(rep.Loops, l.JSON())
+	for _, l := range loops {
+		rep.Summary[l.Verdict]++
+		if l.Parallelizable {
+			rep.Commutative++
+		}
+		switch l.Provenance {
+		case ProvenanceCached:
+			rep.CachedLoops++
+		case ProvenanceJournaled:
+			rep.ResumedLoops++
+		case ProvenanceProved:
+			rep.ProvedLoops++
+		}
+		rep.Replays += l.Replays
 	}
 	return rep
 }

@@ -94,20 +94,12 @@ func (p *Pool) tryAcquire() bool {
 	}
 }
 
-// LoopKey identifies one loop within the analyzed program — the resume
-// map's key. Loop enumeration is deterministic (function order, loop index),
-// so the same program always yields the same keys.
+// LoopKey identifies one loop within the analyzed program — the shard
+// filter's key. Loop enumeration is deterministic (function order, loop
+// index), so the same program always yields the same keys.
 type LoopKey struct {
 	Fn    string
 	Index int
-}
-
-// JournalSink receives one serialized verdict record per completed loop —
-// the engine's view of a write-ahead run journal. Record must be safe for
-// concurrent use; an error means the record was not made durable (the
-// analysis itself continues).
-type JournalSink interface {
-	Record(fn string, index int, data []byte) error
 }
 
 // Options configures the concurrent engine.
@@ -122,14 +114,6 @@ type Options struct {
 	// NoPrescreen disables the coverage prescreen, forcing every loop
 	// through the golden run like the sequential path.
 	NoPrescreen bool
-	// Journal, when non-nil, receives every completed loop verdict as it is
-	// reached (core.EncodeLoopRecord schema), making the run resumable.
-	Journal JournalSink
-	// Resume maps loops to verdict records recovered from a previous run's
-	// journal. A mapped loop skips its static and dynamic stage entirely and
-	// reports the recovered outcome with ProvenanceJournaled; a record that
-	// fails to decode falls through to a fresh analysis.
-	Resume map[LoopKey][]byte
 	// Only, when non-nil, restricts the analysis to the listed loops: loops
 	// outside the set are neither analyzed nor reported. This is the fleet's
 	// shard filter — a worker handed one batch of a program's loops runs the
@@ -137,7 +121,7 @@ type Options struct {
 	// loop, exactly as before.
 	Only map[LoopKey]bool
 	// OnLoop, when non-nil, is called once per loop as its analysis
-	// completes (including cached, journaled, and cancelled outcomes), from
+	// completes (whatever its provenance, cancelled outcomes included), from
 	// the worker goroutine that finished it — completion order, not report
 	// order. The result must be treated as read-only. Run registries use it
 	// to stream per-loop verdicts while the analysis is still running.
@@ -232,15 +216,6 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 		mkExec = func() core.ScheduleExecutor { return scheduleExecutor(ctx, pool) }
 	}
 
-	// Armed fault injection bypasses durability in both directions, exactly
-	// like the verdict cache: injected traps are harness behaviour, not
-	// reusable analysis results.
-	journal, resume := opt.Journal, opt.Resume
-	if copt.InjectionEnabled() {
-		journal, resume = nil, nil
-	}
-	var journalErrOnce sync.Once
-
 	// Bounded dispatch: at most pool.Cap() dispatcher goroutines pull jobs
 	// from a shared index, instead of one goroutine per loop parked on the
 	// semaphore. A suite with thousands of loops costs Cap() goroutines,
@@ -264,31 +239,10 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 					return
 				}
 				j := jobs[i]
-				// A journaled loop skips both stages — no pool slot needed.
-				// A record that fails to decode degrades to a fresh analysis.
-				if data, ok := resume[LoopKey{Fn: j.fn.Name, Index: j.loop.Index}]; ok &&
-					replayJournaled(&copt, data, j.res) {
-					if opt.OnLoop != nil {
-						opt.OnLoop(j.res)
-					}
-					continue
-				}
 				held := pool.acquireCtx(ctx)
 				core.AnalyzeLoopInto(ctx, prog, j.fn, j.loop, pur, copt, refOut, j.res, j.prescreened, mkExec())
 				if held {
 					pool.release()
-				}
-				if journal != nil {
-					if data := core.EncodeLoopRecord(j.res); data != nil {
-						if err := journal.Record(j.res.Fn, j.res.Index, data); err != nil && copt.Trace != nil {
-							// The journal's write errors are sticky; one event
-							// says it all instead of one per remaining loop.
-							journalErrOnce.Do(func() {
-								copt.Trace.Emit(obs.Event{Stage: obs.StageJournal, Fn: j.res.Fn,
-									LoopID: j.res.ID, Outcome: obs.OutcomeError, Err: err.Error()})
-							})
-						}
-					}
 				}
 				if opt.OnLoop != nil {
 					opt.OnLoop(j.res)
@@ -300,28 +254,6 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 
 	sortLoops(rep)
 	return rep, nil
-}
-
-// replayJournaled restores a journaled verdict into res, emitting the same
-// trailing trace events a fresh analysis would (a journal hit, then the
-// verdict). It reports false — leaving res untouched — when the record does
-// not decode, so corruption degrades to recomputation.
-func replayJournaled(opt *core.Options, data []byte, res *core.LoopResult) bool {
-	start := time.Now()
-	if !core.DecodeLoopRecord(data, res) {
-		return false
-	}
-	res.Provenance = core.ProvenanceJournaled
-	res.Elapsed = time.Since(start)
-	if opt.Trace != nil {
-		opt.Trace.Emit(obs.Event{Stage: obs.StageJournal, Fn: res.Fn, LoopID: res.ID,
-			Outcome: obs.OutcomeHit})
-		opt.Trace.Emit(obs.Event{Stage: obs.StageVerdict, Fn: res.Fn, LoopID: res.ID,
-			Verdict: res.Verdict.String(), Reason: res.Reason, Trap: res.TrapKind,
-			Provenance: res.Provenance, Retries: res.Retries,
-			DurationMS: float64(res.Elapsed) / float64(time.Millisecond)})
-	}
-	return true
 }
 
 // scheduleExecutor offloads schedule replays onto free pool slots, running

@@ -8,30 +8,50 @@ import (
 
 	"dca/internal/core"
 	"dca/internal/engine"
+	"dca/internal/ir"
 	"dca/internal/irbuild"
 	"dca/internal/obs"
 	"dca/internal/sandbox"
 	"dca/internal/workloads/plds"
 )
 
-// memJournal is an in-memory JournalSink: what the engine hands a real
-// write-ahead journal, without the disk.
+// memJournal is an in-memory run journal tier: like internal/journal, Get
+// serves only the records recovered from a previous run and Put appends to
+// this run's records, without the disk.
 type memJournal struct {
-	mu   sync.Mutex
-	recs map[engine.LoopKey][]byte
-	err  error
+	recovered map[string][]byte // read-only
+	mu        sync.Mutex
+	recs      map[string][]byte
 }
 
-func newMemJournal() *memJournal { return &memJournal{recs: map[engine.LoopKey][]byte{}} }
+// newMemJournal starts a journal that recovered the given records (nil for
+// a fresh run).
+func newMemJournal(recovered map[string][]byte) *memJournal {
+	return &memJournal{recovered: recovered, recs: map[string][]byte{}}
+}
 
-func (m *memJournal) Record(fn string, index int, data []byte) error {
+func (m *memJournal) Get(key string) ([]byte, bool) {
+	data, ok := m.recovered[key]
+	return data, ok
+}
+
+func (m *memJournal) Put(key string, data []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
-	}
-	m.recs[engine.LoopKey{Fn: fn, Index: index}] = append([]byte(nil), data...)
-	return nil
+	m.recs[key] = append([]byte(nil), data...)
+}
+
+// analyzers are the two paths into the per-loop kernel: the concurrent
+// engine and the sequential core.Analyze. The journal tier lives in the
+// kernel, so both resume with no path-specific code.
+var analyzers = []struct {
+	name string
+	run  func(prog *ir.Program, opt core.Options) (*core.Report, error)
+}{
+	{"engine", func(prog *ir.Program, opt core.Options) (*core.Report, error) {
+		return engine.Analyze(context.Background(), prog, engine.Options{Core: opt, Workers: 4})
+	}},
+	{"sequential", core.Analyze},
 }
 
 // assertSameVerdicts is assertIdentical minus Provenance: a resumed loop
@@ -62,60 +82,64 @@ func assertSameVerdicts(t *testing.T, label string, fresh, resumed *core.Report)
 
 // TestJournalResumeIdentity: a run that journals every verdict, resumed
 // from those records, must produce a report identical to the fresh run —
-// with every loop served from the journal and zero replays performed.
+// with every loop served from the journal and zero replays performed — on
+// the concurrent engine and the sequential path alike.
 func TestJournalResumeIdentity(t *testing.T) {
 	prog, err := plds.ByName("treeadd").Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := testOptions()
-
-	j := newMemJournal()
-	fresh, err := engine.Analyze(context.Background(), prog,
-		engine.Options{Core: opt, Workers: 4, Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j.recs) != len(fresh.Loops) {
-		t.Fatalf("journaled %d records for %d loops", len(j.recs), len(fresh.Loops))
-	}
-
-	var tr obs.Collector
-	ropt := opt
-	ropt.Trace = &tr
-	resumed, err := engine.Analyze(context.Background(), prog,
-		engine.Options{Core: ropt, Workers: 4, Resume: j.recs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameVerdicts(t, "journal resume", fresh, resumed)
-	if got := resumed.ResumedLoops(); got != len(fresh.Loops) {
-		t.Fatalf("ResumedLoops = %d, want %d", got, len(fresh.Loops))
-	}
-	for _, l := range resumed.Loops {
-		if l.Provenance != core.ProvenanceJournaled {
-			t.Fatalf("loop %s/%d provenance %q, want journaled", l.Fn, l.Index, l.Provenance)
-		}
-		if l.Replays != 0 {
-			t.Fatalf("loop %s/%d performed %d replays despite journal hit", l.Fn, l.Index, l.Replays)
-		}
-	}
-	hits, verdicts := 0, 0
-	for _, ev := range tr.Events() {
-		switch {
-		case ev.Stage == obs.StageJournal && ev.Outcome == obs.OutcomeHit:
-			hits++
-		case ev.Stage == obs.StageVerdict:
-			verdicts++
-			if ev.Provenance != core.ProvenanceJournaled {
-				t.Fatalf("verdict event provenance %q, want journaled", ev.Provenance)
+	for _, a := range analyzers {
+		t.Run(a.name, func(t *testing.T) {
+			opt := testOptions()
+			j := newMemJournal(nil)
+			opt.Journal = j
+			fresh, err := a.run(prog, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case ev.Stage == obs.StageGolden || ev.Stage == obs.StageReplay:
-			t.Fatalf("resumed run executed a %s stage", ev.Stage)
-		}
-	}
-	if hits != len(fresh.Loops) || verdicts != len(fresh.Loops) {
-		t.Fatalf("trace: %d journal hits, %d verdicts, want %d each", hits, verdicts, len(fresh.Loops))
+			if len(j.recs) != len(fresh.Loops) {
+				t.Fatalf("journaled %d records for %d loops", len(j.recs), len(fresh.Loops))
+			}
+
+			var tr obs.Collector
+			ropt := testOptions()
+			ropt.Trace = &tr
+			ropt.Journal = newMemJournal(j.recs)
+			resumed, err := a.run(prog, ropt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameVerdicts(t, "journal resume", fresh, resumed)
+			if got := resumed.ResumedLoops(); got != len(fresh.Loops) {
+				t.Fatalf("ResumedLoops = %d, want %d", got, len(fresh.Loops))
+			}
+			for _, l := range resumed.Loops {
+				if l.Provenance != core.ProvenanceJournaled {
+					t.Fatalf("loop %s/%d provenance %q, want journaled", l.Fn, l.Index, l.Provenance)
+				}
+				if l.Replays != 0 {
+					t.Fatalf("loop %s/%d performed %d replays despite journal hit", l.Fn, l.Index, l.Replays)
+				}
+			}
+			hits, verdicts := 0, 0
+			for _, ev := range tr.Events() {
+				switch {
+				case ev.Stage == obs.StageJournal && ev.Outcome == obs.OutcomeHit:
+					hits++
+				case ev.Stage == obs.StageVerdict:
+					verdicts++
+					if ev.Provenance != core.ProvenanceJournaled {
+						t.Fatalf("verdict event provenance %q, want journaled", ev.Provenance)
+					}
+				case ev.Stage == obs.StageGolden || ev.Stage == obs.StageReplay:
+					t.Fatalf("resumed run executed a %s stage", ev.Stage)
+				}
+			}
+			if hits != len(fresh.Loops) || verdicts != len(fresh.Loops) {
+				t.Fatalf("trace: %d journal hits, %d verdicts, want %d each", hits, verdicts, len(fresh.Loops))
+			}
+		})
 	}
 }
 
@@ -128,9 +152,10 @@ func TestJournalResumePartial(t *testing.T) {
 	}
 	opt := testOptions()
 
-	j := newMemJournal()
+	j := newMemJournal(nil)
+	opt.Journal = j
 	fresh, err := engine.Analyze(context.Background(), prog,
-		engine.Options{Core: opt, Workers: 2, Journal: j})
+		engine.Options{Core: opt, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +163,13 @@ func TestJournalResumePartial(t *testing.T) {
 		t.Fatalf("want >= 3 loops, got %d", len(fresh.Loops))
 	}
 	// Simulate a crash after the first verdict: keep one record.
-	keep := engine.LoopKey{Fn: fresh.Loops[0].Fn, Index: fresh.Loops[0].Index}
-	partial := map[engine.LoopKey][]byte{keep: j.recs[keep]}
+	keep := core.JournalKey(fresh.Loops[0].Fn, fresh.Loops[0].Index)
+	partial := map[string][]byte{keep: j.recs[keep]}
 
-	j2 := newMemJournal()
+	j2 := newMemJournal(partial)
+	opt.Journal = j2
 	resumed, err := engine.Analyze(context.Background(), prog,
-		engine.Options{Core: opt, Workers: 2, Journal: j2, Resume: partial})
+		engine.Options{Core: opt, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +199,13 @@ func TestJournalResumeCorruptRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := map[engine.LoopKey][]byte{}
+	bad := map[string][]byte{}
 	for _, l := range fresh.Loops {
-		bad[engine.LoopKey{Fn: l.Fn, Index: l.Index}] = []byte(`{"verdict": 9999}`)
+		bad[core.JournalKey(l.Fn, l.Index)] = []byte(`{"verdict": 9999}`)
 	}
+	opt.Journal = newMemJournal(bad)
 	resumed, err := engine.Analyze(context.Background(), prog,
-		engine.Options{Core: opt, Workers: 2, Resume: bad})
+		engine.Options{Core: opt, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,19 +226,18 @@ func TestJournalBypassedUnderInjection(t *testing.T) {
 	opt := testOptions()
 	opt.Inject = sandbox.Inject{AtIntrinsic: 40, Kind: sandbox.Fault}
 
-	// A poisoned resume map: if injection consulted it, verdicts would skew.
-	clean, err := engine.Analyze(context.Background(), prog, engine.Options{Core: testOptions(), Workers: 2})
-	if err != nil {
+	// A poisoned journal: if injection consulted it, verdicts would skew.
+	copt := testOptions()
+	poison := newMemJournal(nil)
+	copt.Journal = poison
+	if _, err := engine.Analyze(context.Background(), prog, engine.Options{Core: copt, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	poison := map[engine.LoopKey][]byte{}
-	for _, l := range clean.Loops {
-		poison[engine.LoopKey{Fn: l.Fn, Index: l.Index}] = core.EncodeLoopRecord(l)
-	}
 
-	j := newMemJournal()
+	j := newMemJournal(poison.recs)
+	opt.Journal = j
 	injected, err := engine.Analyze(context.Background(), prog,
-		engine.Options{Core: opt, Workers: 2, Journal: j, Resume: poison})
+		engine.Options{Core: opt, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

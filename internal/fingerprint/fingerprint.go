@@ -50,7 +50,7 @@ import (
 // Version is the fingerprint schema version. Bump it whenever the token
 // walk changes (new tokens, reordered fields, different serialization), so
 // stale keys can never alias fresh ones.
-const Version = 3
+const Version = 4
 
 // Key is a 128-bit loop-analysis fingerprint.
 type Key struct{ Hi, Lo uint64 }
@@ -71,9 +71,6 @@ type Inputs struct {
 	// DebugSnapshots selects the string-snapshot mode, which changes how
 	// live-out divergence reasons are rendered.
 	DebugSnapshots bool
-	// StopAfter is the sequential stopping rule (0 = off): it bounds which
-	// schedules are actually tested, so it can reach the verdict.
-	StopAfter int
 	// NoFootprint disables the footprint fast path, which otherwise decides
 	// whether replays run at all (and the verdict's provenance).
 	NoFootprint bool
@@ -223,6 +220,36 @@ func (h *hasher) program(p *ir.Program) {
 	h.word(tagEnd)
 }
 
+// inputs hashes the dynamic-stage configuration — the schedule set, the
+// sandbox limits, and the verdict-reaching switches — closing the walk.
+// Loop and Run share it, so the two keys can never disagree about which
+// options reach a verdict.
+func (h *hasher) inputs(in Inputs) {
+	h.word(tagSchedule)
+	h.word(uint64(len(in.Schedules)))
+	for _, s := range in.Schedules {
+		h.str(s.Name())
+	}
+	h.word(tagLimits)
+	h.word(uint64(in.Limits.MaxSteps))
+	h.word(uint64(in.Limits.MaxHeapObjects))
+	h.word(uint64(in.Limits.MaxOutput))
+	h.word(uint64(in.Limits.Timeout))
+	h.word(uint64(in.Retries))
+	h.flag(in.DebugSnapshots)
+	h.flag(in.NoFootprint)
+	h.flag(in.NoProve)
+	h.word(tagEnd)
+}
+
+func (h *hasher) flag(b bool) {
+	if b {
+		h.word(1)
+	} else {
+		h.word(0)
+	}
+}
+
 // sortStrings is an allocation-free insertion sort; struct maps are small.
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
@@ -272,35 +299,7 @@ func Loop(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instr
 		h.str(l.Type.String())
 	}
 
-	h.word(tagSchedule)
-	h.word(uint64(len(in.Schedules)))
-	for _, s := range in.Schedules {
-		h.str(s.Name())
-	}
-
-	h.word(tagLimits)
-	h.word(uint64(in.Limits.MaxSteps))
-	h.word(uint64(in.Limits.MaxHeapObjects))
-	h.word(uint64(in.Limits.MaxOutput))
-	h.word(uint64(in.Limits.Timeout))
-	h.word(uint64(in.Retries))
-	if in.DebugSnapshots {
-		h.word(1)
-	} else {
-		h.word(0)
-	}
-	h.word(uint64(in.StopAfter))
-	if in.NoFootprint {
-		h.word(1)
-	} else {
-		h.word(0)
-	}
-	if in.NoProve {
-		h.word(1)
-	} else {
-		h.word(0)
-	}
-	h.word(tagEnd)
+	h.inputs(in)
 	return Key{Hi: h.hi, Lo: h.lo}
 }
 
@@ -355,34 +354,6 @@ func Run(prog *ir.Program, in Inputs) Key {
 
 	h.program(prog)
 
-	h.word(tagSchedule)
-	h.word(uint64(len(in.Schedules)))
-	for _, s := range in.Schedules {
-		h.str(s.Name())
-	}
-
-	h.word(tagLimits)
-	h.word(uint64(in.Limits.MaxSteps))
-	h.word(uint64(in.Limits.MaxHeapObjects))
-	h.word(uint64(in.Limits.MaxOutput))
-	h.word(uint64(in.Limits.Timeout))
-	h.word(uint64(in.Retries))
-	if in.DebugSnapshots {
-		h.word(1)
-	} else {
-		h.word(0)
-	}
-	h.word(uint64(in.StopAfter))
-	if in.NoFootprint {
-		h.word(1)
-	} else {
-		h.word(0)
-	}
-	if in.NoProve {
-		h.word(1)
-	} else {
-		h.word(0)
-	}
-	h.word(tagEnd)
+	h.inputs(in)
 	return Key{Hi: h.hi, Lo: h.lo}
 }

@@ -707,30 +707,13 @@ func (c *Coordinator) dispatch(ctx context.Context, node, filename, source strin
 }
 
 // mergeReport assembles the fleet report: loops in report order, summary
-// and totals recomputed from the merged loops — the same arithmetic
-// core.Report.JSON applies, so N workers and one worker render the same
+// and totals computed by core.ReportFromLoops — the function a single
+// engine's report uses too — so N workers and one worker render the same
 // bytes (timing aside).
 func mergeReport(refs []LoopRef, results map[LoopRef]core.LoopJSON, elapsed time.Duration) *core.ReportJSON {
-	rep := &core.ReportJSON{
-		Loops:          make([]core.LoopJSON, 0, len(refs)),
-		Summary:        map[string]int{},
-		TotalLoops:     len(refs),
-		ElapsedSeconds: elapsed.Seconds(),
-	}
+	loops := make([]core.LoopJSON, 0, len(refs))
 	for _, ref := range refs {
-		lj := results[ref]
-		rep.Loops = append(rep.Loops, lj)
-		rep.Summary[lj.Verdict]++
-		if lj.Verdict == core.Commutative.String() {
-			rep.Commutative++
-		}
-		switch lj.Provenance {
-		case core.ProvenanceCached:
-			rep.CachedLoops++
-		case core.ProvenanceJournaled:
-			rep.ResumedLoops++
-		}
-		rep.Replays += lj.Replays
+		loops = append(loops, results[ref])
 	}
-	return rep
+	return core.ReportFromLoops(loops, elapsed)
 }

@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +180,48 @@ func TestFleetIdentity(t *testing.T) {
 	}
 	if dispatched < 2 {
 		t.Errorf("only %d nodes received a batch; program was not sharded", dispatched)
+	}
+}
+
+// TestFleetReportMatchesSingleNode: the merged fleet report equals the
+// report one node's engine renders for the same program — every loop row,
+// the summary and every total (proved_loops included) — timings aside.
+func TestFleetReportMatchesSingleNode(t *testing.T) {
+	c, err := cache.Open("", 0, core.CacheRecordVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := httptest.NewServer(server.New(server.Config{Workers: 2, Cache: c}).Handler())
+	defer node.Close()
+	body, err := json.Marshal(server.AnalyzeRequest{Filename: "fleet.mc", Source: fleetSrc, Knobs: fleet.Knobs{Schedules: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(node.URL+"/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ar server.AnalyzeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil || ar.Report == nil {
+		t.Fatalf("single-node analyze: status %d, err %v", resp.StatusCode, err)
+	}
+	want := ar.Report
+
+	got, _ := newTestFleet(t, 2).analyze(t)
+	for _, rep := range []*core.ReportJSON{want, got} {
+		rep.ElapsedSeconds = 0
+		for i := range rep.Loops {
+			rep.Loops[i].ElapsedSeconds = 0
+		}
+	}
+	if want.ProvedLoops == 0 {
+		t.Fatal("fleetSrc has no static-proved loop; proved_loops is untested")
+	}
+	if !reflect.DeepEqual(got, want) {
+		g, _ := json.MarshalIndent(got, "", "  ")
+		w, _ := json.MarshalIndent(want, "", "  ")
+		t.Errorf("fleet report differs from single node:\n--- single ---\n%s\n--- fleet ---\n%s", w, g)
 	}
 }
 

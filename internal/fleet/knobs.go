@@ -24,10 +24,6 @@ type Knobs struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// NoCache forces a fresh computation.
 	NoCache bool `json:"no_cache,omitempty"`
-	// StopAfter enables the sequential stopping rule: once this many
-	// consecutive schedules agree with the golden run, the rest are
-	// skipped. 0 tests every schedule; negative is rejected with 400.
-	StopAfter int `json:"stop_after,omitempty"`
 	// NoFootprint disables the footprint fast path.
 	NoFootprint bool `json:"no_footprint,omitempty"`
 	// NoProve disables the static commutativity prover, so every loop's
@@ -57,7 +53,6 @@ func (k Knobs) Options(maxSchedules int, base core.Options) core.Options {
 	}
 	base.MaxSteps = clampBudget(base.MaxSteps, k.MaxSteps)
 	base.Timeout = time.Duration(clampBudget(int64(base.Timeout), k.TimeoutMS*int64(time.Millisecond)))
-	base.StopAfter = k.StopAfter
 	base.NoFootprint = k.NoFootprint
 	base.NoProve = k.NoProve
 	base.NoVM = k.NoVM

@@ -14,7 +14,7 @@ func TestWorkerRequestSchema(t *testing.T) {
 		Source:   "func main() {}",
 		Knobs: Knobs{
 			Schedules: 2, MaxSteps: 10, TimeoutMS: 10, NoCache: true,
-			StopAfter: 1, NoFootprint: true, NoProve: true, NoVM: true,
+			NoFootprint: true, NoProve: true, NoVM: true,
 		},
 		Loops: []LoopRef{{Fn: "main", Index: 0}},
 	}
@@ -27,7 +27,7 @@ func TestWorkerRequestSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"filename", "source", "schedules", "max_steps", "timeout_ms", "no_cache",
-		"stop_after", "no_footprint", "no_prove", "no_vm", "loops"}
+		"no_footprint", "no_prove", "no_vm", "loops"}
 	if len(fields) != len(want) {
 		t.Errorf("worker request has %d keys, want %d: %s", len(fields), len(want), data)
 	}

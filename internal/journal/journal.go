@@ -6,6 +6,10 @@
 // every already-verdicted loop, and continues exactly where the previous
 // process died.
 //
+// A Journal is a core.VerdictCache: the analysis kernel consults it as its
+// run-scoped tier (core.Options.Journal). Get serves the records recovered
+// at Open; Put appends.
+//
 // # Format
 //
 // The journal is line-oriented: every line is
@@ -14,13 +18,13 @@
 //
 // with the checksum taken over the JSON bytes. Line one is the header — the
 // container format version, the caller's record-schema version, and the
-// run key (the program-plus-configuration fingerprint from
-// internal/fingerprint) — and every following line is one Record. The
-// framing makes replay torn-tail tolerant: recovery scans lines in order
-// and stops at the first one that is incomplete, fails its checksum, or
-// does not parse; everything before that point is intact by construction,
-// everything after is discarded and truncated away before appending
-// resumes.
+// run key (the program-plus-configuration fingerprint from core.RunKey) —
+// and every following line is one Record: a loop's key (core.JournalKey)
+// and its verdict record. The framing makes replay torn-tail tolerant:
+// recovery scans lines in order and stops at the first one that is
+// incomplete, fails its checksum, or does not parse; everything before that
+// point is intact by construction, everything after is discarded and
+// truncated away before appending resumes.
 //
 // # Durability policy
 //
@@ -50,22 +54,22 @@ import (
 	"sync"
 
 	"dca/internal/chaos"
+	"dca/internal/obs"
 )
 
 // FormatVersion is the journal container format. Bump it when the framing
 // or header layout changes; older journals are then discarded on open.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // DefaultSyncEvery is the default fsync batch size.
 const DefaultSyncEvery = 8
 
-// Record is one journaled loop verdict. Fn and Index identify the loop
-// within the analyzed program; Data is the serialized verdict record in the
-// caller's schema (core.EncodeLoopRecord), opaque to the journal.
+// Record is one journaled loop verdict. Key identifies the loop within the
+// run (core.JournalKey: its function and loop index); Data is the
+// serialized verdict record in the caller's schema, opaque to the journal.
 type Record struct {
-	Fn    string          `json:"fn"`
-	Index int             `json:"index"`
-	Data  json.RawMessage `json:"data"`
+	Key  string          `json:"key"`
+	Data json.RawMessage `json:"data"`
 }
 
 // header is the journal's first line.
@@ -93,6 +97,10 @@ type Options struct {
 	Resume bool
 	// FS is the filesystem the journal runs on (nil means the real one).
 	FS chaos.FS
+	// Trace, when non-nil, receives one obs.StageJournal "error" event at
+	// the journal's first write failure; later appends fail silently on
+	// the sticky error.
+	Trace obs.Sink
 }
 
 // Recovery describes what Open found in an existing journal file.
@@ -107,13 +115,15 @@ type Recovery struct {
 	TornBytes int64
 }
 
-// Journal is an append-only run journal. Append is safe for concurrent use
-// — analysis workers complete loops in nondeterministic order. Write errors
-// are sticky: after the first one the journal drops further records and
-// reports the error from Err and Close, so a dying disk degrades the run to
-// non-resumable instead of killing it.
+// Journal is an append-only run journal. Get, Put and Append are safe for
+// concurrent use — analysis workers complete loops in nondeterministic
+// order. Write errors are sticky: after the first one the journal drops
+// further records and reports the error from Err and Close, so a dying
+// disk degrades the run to non-resumable instead of killing it.
 type Journal struct {
-	path string
+	path      string
+	recovered map[string][]byte // read-only after Open
+	trace     obs.Sink
 
 	mu       sync.Mutex
 	f        chaos.File
@@ -184,18 +194,39 @@ func Open(path string, runKey string, opt Options) (*Journal, *Recovery, error) 
 			return nil, nil, fmt.Errorf("journal: write header: %w", err)
 		}
 	}
+	// Set after the header: a failed Open is the caller's error to report.
+	j.trace = opt.Trace
+	j.recovered = make(map[string][]byte, len(rec.Records))
+	for _, r := range rec.Records {
+		// Append order; a duplicate key keeps the latest record.
+		j.recovered[r.Key] = r.Data
+	}
 	return j, rec, nil
+}
+
+// Get returns the record a previous run journaled under key, if Open
+// recovered one. Records appended by this process are not served: a loop
+// is journaled once per run.
+func (j *Journal) Get(key string) ([]byte, bool) {
+	data, ok := j.recovered[key]
+	return data, ok
+}
+
+// Put appends a record, like Append. Its error is not returned: the first
+// one reaches the trace sink given to Open, and Err reports it.
+func (j *Journal) Put(key string, data []byte) {
+	j.Append(key, data)
 }
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Append journals one completed loop verdict. The record reaches the
-// operating system before Append returns; it reaches stable storage at the
-// next batch fsync. After the first write error the journal is dead:
+// Append journals one completed loop verdict under key. The record reaches
+// the operating system before Append returns; it reaches stable storage at
+// the next batch fsync. After the first write error the journal is dead:
 // further appends are dropped and the error is reported from Err.
-func (j *Journal) Append(fn string, index int, data []byte) error {
-	rec := Record{Fn: fn, Index: index, Data: json.RawMessage(data)}
+func (j *Journal) Append(key string, data []byte) error {
+	rec := Record{Key: key, Data: json.RawMessage(data)}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
@@ -294,10 +325,15 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// fail records the first write error; the journal is dead from here on.
+// fail records the first write error, and reports it to the trace sink;
+// the journal is dead from here on.
 func (j *Journal) fail(err error) {
-	if j.err == nil {
-		j.err = err
+	if j.err != nil {
+		return
+	}
+	j.err = err
+	if j.trace != nil {
+		j.trace.Emit(obs.Event{Stage: obs.StageJournal, Outcome: obs.OutcomeError, Err: err.Error()})
 	}
 }
 

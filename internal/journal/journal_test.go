@@ -11,15 +11,15 @@ import (
 
 const testRun = "0123456789abcdef0123456789abcdef"
 
-func mkRecord(i int) (string, int, []byte) {
-	return fmt.Sprintf("fn%d", i%5), i, []byte(fmt.Sprintf(`{"verdict":%d,"reason":"r%d"}`, i%8, i))
+func mkRecord(i int) (string, []byte) {
+	return fmt.Sprintf("fn%d#%d", i%5, i), []byte(fmt.Sprintf(`{"verdict":%d,"reason":"r%d"}`, i%8, i))
 }
 
 func appendN(t *testing.T, j *Journal, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		fn, idx, data := mkRecord(i)
-		if err := j.Append(fn, idx, data); err != nil {
+		key, data := mkRecord(i)
+		if err := j.Append(key, data); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -31,9 +31,9 @@ func checkPrefix(t *testing.T, recs []Record, want int) {
 		t.Fatalf("recovered %d records, wrote only %d", len(recs), want)
 	}
 	for i, r := range recs {
-		fn, idx, data := mkRecord(i)
-		if r.Fn != fn || r.Index != idx || string(r.Data) != string(data) {
-			t.Fatalf("record %d = {%s %d %s}, want {%s %d %s}", i, r.Fn, r.Index, r.Data, fn, idx, data)
+		key, data := mkRecord(i)
+		if r.Key != key || string(r.Data) != string(data) {
+			t.Fatalf("record %d = {%s %s}, want {%s %s}", i, r.Key, r.Data, key, data)
 		}
 	}
 }
@@ -83,8 +83,8 @@ func TestResumeAppendsAfterRecovery(t *testing.T) {
 		t.Fatalf("recovered %d, want 10", len(rec.Records))
 	}
 	for i := 10; i < 20; i++ {
-		fn, idx, data := mkRecord(i)
-		if err := j2.Append(fn, idx, data); err != nil {
+		key, data := mkRecord(i)
+		if err := j2.Append(key, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,6 +98,34 @@ func TestResumeAppendsAfterRecovery(t *testing.T) {
 		t.Fatalf("second resume recovered %d, want 20", len(rec3.Records))
 	}
 	checkPrefix(t, rec3.Records, 20)
+}
+
+// TestGetServesRecovered: Get answers from the records Open recovered —
+// the latest record per key — and never from this process's own appends.
+func TestGetServesRecovered(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wal")
+	j, _, err := Open(path, testRun, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Put("main#0", []byte(`{"verdict":1}`))
+	j.Put("main#0", []byte(`{"verdict":0}`))
+	if _, ok := j.Get("main#0"); ok {
+		t.Fatal("Get served a record appended by this process")
+	}
+	j.Close()
+
+	j2, _, err := Open(path, testRun, Options{Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if data, ok := j2.Get("main#0"); !ok || string(data) != `{"verdict":0}` {
+		t.Fatalf("Get(main#0) = %s, %v; want the latest record", data, ok)
+	}
+	if _, ok := j2.Get("main#1"); ok {
+		t.Fatal("Get served a key never journaled")
+	}
 }
 
 func TestTornTailTruncated(t *testing.T) {
@@ -136,8 +164,8 @@ func TestTornTailTruncated(t *testing.T) {
 			}
 			checkPrefix(t, rec.Records, 5)
 			// The torn tail is gone: appending and re-reading works.
-			fn, idx, data := mkRecord(5)
-			if err := j2.Append(fn, idx, data); err != nil {
+			key, data := mkRecord(5)
+			if err := j2.Append(key, data); err != nil {
 				t.Fatal(err)
 			}
 			j2.Close()
@@ -231,8 +259,8 @@ func TestStickyWriteError(t *testing.T) {
 	var firstErr error
 	ok := 0
 	for i := 0; i < 10; i++ {
-		fn, idx, data := mkRecord(i)
-		if err := j.Append(fn, idx, data); err != nil {
+		key, data := mkRecord(i)
+		if err := j.Append(key, data); err != nil {
 			firstErr = err
 			break
 		}
@@ -244,8 +272,8 @@ func TestStickyWriteError(t *testing.T) {
 	// Every later append reports the same sticky error without touching
 	// the disk.
 	opsBefore := f.Ops()
-	fn, idx, data := mkRecord(11)
-	if err := j.Append(fn, idx, data); err == nil {
+	key, data := mkRecord(11)
+	if err := j.Append(key, data); err == nil {
 		t.Fatal("append succeeded on a dead journal")
 	}
 	if f.Ops() != opsBefore {
@@ -285,8 +313,8 @@ func TestChaosEveryFaultPoint(t *testing.T) {
 		}
 		ok := 0
 		for i := 0; i < n; i++ {
-			fn, idx, data := mkRecord(i)
-			if err := j.Append(fn, idx, data); err != nil {
+			key, data := mkRecord(i)
+			if err := j.Append(key, data); err != nil {
 				break
 			}
 			ok++
@@ -345,8 +373,8 @@ func TestChaosMonkey(t *testing.T) {
 			ok := 0
 			if j, _, err := Open(path, testRun, Options{FS: m, SyncEvery: 2}); err == nil {
 				for i := 0; i < 20; i++ {
-					fn, idx, data := mkRecord(i)
-					if err := j.Append(fn, idx, data); err != nil {
+					key, data := mkRecord(i)
+					if err := j.Append(key, data); err != nil {
 						break
 					}
 					ok++

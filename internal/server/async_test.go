@@ -216,19 +216,14 @@ func TestAsyncDisconnectDoesNotCancelRun(t *testing.T) {
 	}
 }
 
-// TestAnalyzeKnobValidation: the PR-7 knobs ride the request schema with
-// the same validation discipline as the sandbox ceilings.
+// TestAnalyzeKnobValidation: the analysis switches ride the request schema
+// and a request that sets them is analyzed.
 func TestAnalyzeKnobValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
-	resp, body := postAnalyze(t, ts.URL, AnalyzeRequest{Filename: "t.mc", Source: testSrc, Knobs: fleet.Knobs{StopAfter: -1}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("stop_after=-1 status = %d, want 400: %s", resp.StatusCode, body)
-	}
-
-	resp, body = postAnalyze(t, ts.URL, AnalyzeRequest{
+	resp, body := postAnalyze(t, ts.URL, AnalyzeRequest{
 		Filename: "t.mc", Source: testSrc,
-		Knobs: fleet.Knobs{StopAfter: 1, NoFootprint: true, NoVM: true},
+		Knobs: fleet.Knobs{NoFootprint: true, NoVM: true},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("knobbed analyze status = %d, want 200: %s", resp.StatusCode, body)

@@ -82,7 +82,6 @@ import (
 	"dca/internal/cache"
 	"dca/internal/core"
 	"dca/internal/engine"
-	"dca/internal/fingerprint"
 	"dca/internal/fleet"
 	"dca/internal/ir"
 	"dca/internal/irbuild"
@@ -536,9 +535,6 @@ func (req *AnalyzeRequest) validate() error {
 	if req.TimeoutMS > maxTimeoutMS {
 		return fmt.Errorf("\"timeout_ms\" %d overflows the nanosecond clock (max %d)", req.TimeoutMS, maxTimeoutMS)
 	}
-	if req.StopAfter < 0 {
-		return fmt.Errorf("\"stop_after\" must be >= 0, got %d", req.StopAfter)
-	}
 	return nil
 }
 
@@ -735,26 +731,11 @@ type runHandle struct {
 	TotalLoops int    `json:"total_loops"`
 }
 
-// asyncJournal adapts the write-ahead journal to the engine's sink.
-type asyncJournal struct{ j *journal.Journal }
-
-func (a asyncJournal) Record(fn string, index int, data []byte) error {
-	return a.j.Append(fn, index, data)
-}
-
 // runKey fingerprints an async run's program + configuration — the run
 // handle's suffix and the journal's header key, so a journal can never be
 // replayed into a run with different semantics.
 func (s *Server) runKey(prog *ir.Program, req *AnalyzeRequest) string {
-	copt := s.options(req).Core
-	return fingerprint.Run(prog, fingerprint.Inputs{
-		Schedules:   copt.Schedules,
-		Limits:      copt.Limits(),
-		Retries:     copt.Retries,
-		StopAfter:   copt.StopAfter,
-		NoFootprint: copt.NoFootprint,
-		NoProve:     copt.NoProve,
-	}).String()
+	return core.RunKey(prog, s.options(req).Core)
 }
 
 // startAsync registers the analysis as a run and finishes it in the
@@ -806,7 +787,7 @@ func (s *Server) runAsync(run *fleet.Run, prog *ir.Program, req *AnalyzeRequest)
 	var j *journal.Journal
 	if s.cfg.RunDir != "" {
 		path := filepath.Join(s.cfg.RunDir, run.ID()+".journal")
-		jj, _, jerr := journal.Open(path, s.runKey(prog, req), journal.Options{Version: core.CacheRecordVersion})
+		jj, _, jerr := journal.Open(path, s.runKey(prog, req), journal.Options{Version: core.CacheRecordVersion, Trace: s.sink})
 		if jerr != nil {
 			// The run proceeds without durability; the failure is visible
 			// in the trace stream rather than silently swallowed.
@@ -826,7 +807,7 @@ func (s *Server) runAsync(run *fleet.Run, prog *ir.Program, req *AnalyzeRequest)
 		if j != nil {
 			onLoop = func(lj core.LoopJSON) {
 				if data, merr := json.Marshal(lj); merr == nil {
-					j.Append(lj.Fn, lj.Index, data)
+					j.Put(core.JournalKey(lj.Fn, lj.Index), data)
 				}
 				run.Complete(lj)
 			}
@@ -836,7 +817,7 @@ func (s *Server) runAsync(run *fleet.Run, prog *ir.Program, req *AnalyzeRequest)
 		eopt := s.options(req)
 		eopt.OnLoop = func(res *core.LoopResult) { run.Complete(res.JSON()) }
 		if j != nil {
-			eopt.Journal = asyncJournal{j}
+			eopt.Core.Journal = j
 		}
 		var engineRep *core.Report
 		engineRep, err = engine.Analyze(ctx, prog, eopt)

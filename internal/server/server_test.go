@@ -292,7 +292,7 @@ func TestAnalyzeRequestSchema(t *testing.T) {
 		Source:   testSrc,
 		Knobs: fleet.Knobs{
 			Schedules: 2, MaxSteps: 10, TimeoutMS: 10, NoCache: true,
-			StopAfter: 1, NoFootprint: true, NoProve: true, NoVM: true,
+			NoFootprint: true, NoProve: true, NoVM: true,
 		},
 		Loops: []fleet.LoopRef{{Fn: "main", Index: 0}},
 	}
@@ -305,7 +305,7 @@ func TestAnalyzeRequestSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"filename", "source", "schedules", "max_steps", "timeout_ms", "no_cache",
-		"stop_after", "no_footprint", "no_prove", "no_vm", "loops"}
+		"no_footprint", "no_prove", "no_vm", "loops"}
 	if len(fields) != len(want) {
 		t.Errorf("request has %d keys, want %d: %s", len(fields), len(want), data)
 	}
